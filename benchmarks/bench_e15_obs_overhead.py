@@ -1,16 +1,17 @@
 """Benchmark E15 — zero-cost observability when tracing is disabled.
 
-The observability layer instruments the serial per-seed loop
-(:meth:`Simulator._run_seeds`) with run spans and profiler records.  The
-design keeps the disabled path structurally identical to the pre-obs code:
-one predicate check per *ensemble* dispatches to an instrumented twin loop,
-and the plain loop itself is untouched.  This benchmark pins that contract.
+Every engine run goes through one seam, :meth:`Simulator.run_seeds`, where a
+single wrapper adds run spans and profiler records.  The wrapper decides once
+per *ensemble*: with no tracer or profiler installed it makes one plain call
+into the engine's seed loop, so the per-run path carries no instrumentation
+branch at all.  This benchmark pins that contract.
 
-It replicates the plain compiled loop body locally (the exact code the
-disabled path executes, minus the single dispatch branch) as the baseline,
-then interleaves it against the real entry point with tracing and profiling
-off.  Best-of-N on both sides, same machine, same buffers; the real entry
-point may cost at most 2% more — the acceptance budget from the obs design.
+It replicates the plain compiled loop body inline (counts buffer reuse, the
+stepper call, the result construction — the code the disabled path executes,
+without the seam's per-ensemble dispatch) as the baseline, then interleaves
+it against the real entry point with tracing and profiling off.  Best-of-N on
+both sides, same machine, same buffers; the real entry point may cost at most
+2% more — the acceptance budget from the obs design.
 
 A second round flips tracing ON (into an in-memory capture) to report —
 not assert — the enabled cost, so EXPERIMENTS.md regenerations show what a
@@ -25,7 +26,8 @@ from conftest import report
 from repro.experiments.harness import ExperimentTable
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
-from repro.simulation import Simulator
+from repro.simulation import SimulationResult, Simulator
+from repro.simulation.compiled import OUT_ONE, OUT_UNDEFINED, OUT_ZERO
 from repro.sweep.spec import build_protocol_and_inputs
 
 POPULATION = 300
@@ -37,23 +39,41 @@ MAX_DISABLED_OVERHEAD = 1.02
 
 
 def _baseline_loop(simulator, configuration, seeds):
-    """The pre-obs serial compiled loop, replicated verbatim."""
-    buffer = simulator._compiled.counts_of(configuration)
+    """The plain serial compiled loop, replicated inline (no seam calls)."""
+    engine = simulator._engine
+    net, stepper, classes = engine.net, engine.stepper, engine.classes
+    buffer = net.counts_of(configuration)
     results = []
     for seed in seeds:
         run_rng = random.Random(seed)
-        counts = simulator._compiled.counts_of(configuration, out=buffer)
-        results.append(
-            simulator._run_compiled(
-                configuration, counts, MAX_STEPS, STABILITY_WINDOW, run_rng,
-                False, 1024,
-            )
+        counts = net.counts_of(configuration, out=buffer)
+        one = zero = undef = 0
+        for index, count in enumerate(counts):
+            if count:
+                kind = classes[index]
+                if kind == OUT_ONE:
+                    one += count
+                elif kind == OUT_ZERO:
+                    zero += count
+                elif kind == OUT_UNDEFINED:
+                    undef += count
+        steps, value, since, terminated = stepper(
+            counts, run_rng, MAX_STEPS, STABILITY_WINDOW, one, zero, undef
         )
+        results.append(SimulationResult(
+            initial=configuration,
+            final=net.configuration_of(counts),
+            steps=steps,
+            consensus=value if value >= 0 else None,
+            consensus_step=since if since >= 0 else None,
+            terminated=terminated,
+            interactions_sampled=steps,
+        ))
     return results
 
 
 def _instrumented_entry(simulator, configuration, seeds):
-    return simulator._run_seeds(
+    return simulator.run_seeds(
         configuration, seeds, MAX_STEPS, STABILITY_WINDOW
     )
 
@@ -62,7 +82,7 @@ def run_overhead_experiment():
     protocol, inputs = build_protocol_and_inputs("majority", POPULATION, {})
     simulator = Simulator(protocol, seed=7)
     configuration = protocol.initial_configuration(inputs)
-    assert simulator._stepper is not None, "compiled engine required for E15"
+    assert simulator._engine.name != "reference", "compiled engine required for E15"
     assert not obs_trace.tracing_active()
     assert obs_profile.active_profiler() is None
     seeds = [random.Random(2022).getrandbits(64) for _ in range(REPETITIONS)]
@@ -93,8 +113,8 @@ def run_overhead_experiment():
         title=f"obs overhead, {REPETITIONS}-rep compiled serial ensemble",
         columns=["mode", "best seconds", "overhead"],
         notes=(
-            "baseline replicates the pre-obs loop body; 'disabled' is the "
-            "real _run_seeds entry with no tracer/profiler installed "
+            "baseline replicates the plain loop body inline; 'disabled' is "
+            "the real run_seeds entry with no tracer/profiler installed "
             f"(budget {MAX_DISABLED_OVERHEAD}x); 'traced' captures spans "
             "in memory and is informational"
         ),

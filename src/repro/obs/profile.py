@@ -1,9 +1,10 @@
 """Engine profiling hooks: interactions/sec and per-run step timing.
 
-The stepper entry points (:meth:`Simulator._run_seeds` and friends) call
-:func:`active_profiler` once per run; when profiling is disabled that is a
-single module-global ``None``-check — no object construction, no clock
-reads — which is what keeps the disabled-overhead bench (E15) under its
+The simulator's engine seam (one wrapper in
+:mod:`repro.simulation.simulator`) calls :func:`active_profiler` once per
+ensemble; when profiling is disabled that is a single module-global
+``None``-check — no object construction, no clock reads, no per-run
+branch — which is what keeps the disabled-overhead bench (E15) under its
 2% budget.  Timing is per *run*, never per step: a run of ``n`` steps
 costs two monotonic reads total.
 

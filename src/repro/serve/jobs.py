@@ -351,7 +351,7 @@ class JobExecutor:
         with self._serial_lock:
             simulator = self._serial_simulator(job, protocol, scheduler)
             configuration = protocol.initial_configuration(inputs)
-            return simulator._run_seeds(
+            return simulator.run_seeds(
                 configuration,
                 seeds,
                 job.max_steps,

@@ -264,7 +264,7 @@ def _run_worker_task(
     simulator = _worker_simulator(spec_bytes)
     if not trace:
         return (
-            simulator._run_seeds(
+            simulator.run_seeds(
                 configuration, list(seeds), max_steps, stability_window,
                 record, capacity, analytics,
             ),
@@ -272,7 +272,7 @@ def _run_worker_task(
         )
     with _obs_trace.capture_events() as events:
         with _obs_trace.span("chunk", kind="chunk", seeds=len(seeds)):
-            results = simulator._run_seeds(
+            results = simulator.run_seeds(
                 configuration, list(seeds), max_steps, stability_window,
                 record, capacity, analytics,
             )
@@ -681,9 +681,9 @@ def run_ensemble(
     """
     _validate_batch_options(backend, max_workers, chunk_size)
     if record_trajectory and trajectory_capacity < 1:
-        # _run_seeds enters the engines below _dispatch's own validation, and
-        # under backend="process" a late failure would surface from inside a
-        # pool worker; reject the bad argument here, at the call site.
+        # Simulator.run_seeds validates this too, but under backend="process"
+        # that failure would surface from inside a pool worker; reject the
+        # bad argument here, at the call site.
         raise ValueError("trajectory_capacity must be at least 1")
     _validate_analytics(analytics, process_backend=(backend == "process"))
 
@@ -697,7 +697,7 @@ def run_ensemble(
             "ensemble", kind="ensemble",
             reps=len(seeds), engine=engine, backend="serial",
         ):
-            return simulator._run_seeds(
+            return simulator.run_seeds(
                 configuration, seeds, max_steps, stability_window,
                 record_trajectory, trajectory_capacity, analytics,
             )
@@ -931,7 +931,7 @@ class BatchRunner:
                 "ensemble", kind="ensemble",
                 reps=len(seeds), engine=self.engine, backend="serial",
             ):
-                return self._simulator._run_seeds(
+                return self._simulator.run_seeds(
                     configuration, seeds, max_steps, stability_window,
                     record_trajectory, trajectory_capacity, analytics,
                 )

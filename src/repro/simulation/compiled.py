@@ -88,10 +88,10 @@ StepperFn = Callable[..., Tuple[int, int, int, bool]]
 
 @runtime_checkable
 class Stepper(TypingProtocol):
-    """The engine seam: one simulation loop plus its QA hooks.
+    """One per-run simulation loop plus its QA hooks.
 
-    Every dense engine hands the :class:`~repro.simulation.simulator.Simulator`
-    an object satisfying this protocol instead of a bare closure:
+    A dense net builds one per scheduler kind, output classes and recording
+    flag; :class:`~repro.simulation.simulator.DenseEngine` calls it per run:
 
     * calling it runs the whole loop with the stepper signature documented on
       :meth:`CompiledNet.stepper` (``counts`` mutated in place, ``-1`` as the
@@ -106,7 +106,7 @@ class Stepper(TypingProtocol):
 
     Concrete implementations: :class:`GeneratedStepper` (exec-compiled
     straight-line code), :class:`~repro.simulation.vectorized.KernelStepper`
-    (NumPy kernels, also used by the lock-step ensemble engine).
+    (NumPy kernels).  The lock-step ensemble shares the QA hooks only.
     """
 
     qa_meta: Dict[str, object]

@@ -42,9 +42,9 @@ dead-configuration check before the stream draw).
 
 This engine is selected with ``engine="ensemble"`` (explicitly, or via
 ``REPRO_FORCE_ENGINE=ensemble``; ``engine="auto"`` never picks it on its
-own).  Single runs under ``engine="ensemble"`` use the per-run NumPy
-stepper — same trajectories — while ``Simulator.run_many`` and the batch
-layer route whole seed lists through :class:`VectorizedEnsemble`.
+own).  Its :class:`~repro.simulation.simulator.EnsembleEngine` runs single
+runs on the per-run NumPy stepper — same trajectories — and every seed list
+through one :class:`VectorizedEnsemble`.
 """
 
 from __future__ import annotations
@@ -218,11 +218,10 @@ class EnsembleTables:
 class VectorizedEnsemble:
     """A lock-step batch of repetitions over one net and scheduler kind.
 
-    Satisfies the :class:`~repro.simulation.compiled.Stepper` protocol
-    (``source()`` is ``None`` — there is no generated code; the QA auditor
-    checks the :class:`EnsembleTables` plan structures instead, and
-    :attr:`qa_meta` names the implementation), except that one ``__call__``
-    advances a whole seed list rather than a single run.
+    The :class:`~repro.simulation.simulator.EnsembleEngine`'s seed-list
+    runner: one :meth:`run` advances every seed's run.  It carries the
+    steppers' QA hooks — ``source()`` is ``None`` (the auditor checks the
+    :class:`EnsembleTables` plans instead), :attr:`qa_meta` names it.
     """
 
     def __init__(

@@ -15,42 +15,45 @@ A run proceeds step by step until one of:
 The result records the trajectory summary, the final configuration, the
 consensus value (if any) and how many steps were needed to reach it.
 
-Three engines implement these semantics:
+An *engine* implements these semantics: an object with a ``name``, a
+``run`` on a caller-owned generator, and a ``run_seeds`` that runs one
+execution per seed on ``random.Random(seed)``.  :class:`Simulator` resolves
+its engine once, at construction, and every run goes through it:
 
-* the **compiled engine** (``engine="compiled"``, the default for small nets
-  under the built-in schedulers) maps states to dense indices once per net
-  and runs a generated loop that mutates a single counts array in place,
-  reweighs transitions incrementally and checks consensus in O(1) via
-  maintained output counters (:mod:`repro.simulation.compiled`),
-* the **NumPy engine** (``engine="numpy"``, the default for large nets when
-  NumPy is installed) keeps the same dense mapping but maintains the counts
-  and scheduler weights as ``int64`` vectors updated with array kernels, so
-  its per-step cost is flat in the transition count instead of linear like
-  the compiled dispatch chain (:mod:`repro.simulation.vectorized`),
-* the **ensemble engine** (``engine="ensemble"``) batches *repetitions*: a
-  lock-step ``(reps, states)`` matrix advanced with one kernel launch per
-  global step, per-row transition picks through a two-level blocked weight
-  structure, and rows retiring in place at convergence
-  (:mod:`repro.simulation.ensemble`).  Single runs under this engine use the
-  per-run NumPy stepper; ``run_many`` and the batch layer route whole seed
-  lists through the lock-step path — every row bit-identical to a per-run
-  engine run with the same derived seed,
-* the **reference engine** (``engine="reference"``) is the original sparse
+* :class:`DenseEngine` maps states to dense indices once per net and drives
+  a :class:`~repro.simulation.compiled.Stepper` loop that mutates one counts
+  array in place, reweighs transitions incrementally and checks consensus in
+  O(1) via maintained output counters.  Its two names differ only in the
+  net that builds the stepper: ``"compiled"`` generates straight-line Python
+  (:mod:`repro.simulation.compiled`); ``"numpy"`` runs ``int64`` array
+  kernels whose per-step cost is flat in the transition count
+  (:mod:`repro.simulation.vectorized`),
+* :class:`EnsembleEngine` (``"ensemble"``) is a NumPy dense engine whose
+  ``run_seeds`` advances all seeds in lock step through one
+  :class:`~repro.simulation.ensemble.VectorizedEnsemble`, every row
+  bit-identical to a per-run engine run with the same seed,
+* :class:`ReferenceEngine` (``"reference"``) is the original sparse
   implementation: one immutable :class:`~repro.core.configuration.Configuration`
-  per step, full consensus rescans, full weight recomputation.
+  per step, full consensus rescans, full weight recomputation.  It runs any
+  scheduler and any configuration.
 
 All engines consume the random stream identically, so for a fixed
 ``(protocol, inputs, seed)`` they produce the same trajectory step for step.
+Run spans and profiler records are added at the seam by one wrapper, which
+picks the plain or the timed call once per ensemble and labels each run with
+the engine that actually ran it.
+
 ``engine="auto"`` (the default) picks the NumPy engine when the net has at
 least :data:`AUTO_VECTORIZE_THRESHOLD` transitions and NumPy is installed,
-the compiled engine for smaller nets (or when NumPy is missing), and falls
-back to the reference engine otherwise (custom schedulers, configurations
-mentioning states outside the compiled universe); it never picks the
-ensemble engine on its own.  Engine precedence is: an explicit ``engine=``
-argument always wins (``REPRO_FORCE_ENGINE`` then warns once that it is
-being ignored), the ``REPRO_FORCE_ENGINE`` environment variable overrides
-the ``engine="auto"`` choice — the knob the CI uses to drive the whole suite
-through one engine — and the transition-count heuristic decides otherwise.
+the compiled engine for smaller nets (or when NumPy is missing), and the
+reference engine for schedulers without a dense fast path or configurations
+outside the dense universe (which an explicit dense engine rejects with
+``ValueError``); it never picks the ensemble engine on its own.  An explicit
+``engine=`` argument always wins (``REPRO_FORCE_ENGINE`` then warns once
+that it is being ignored); otherwise the ``REPRO_FORCE_ENGINE`` environment
+variable, read through :mod:`repro.config` and inherited by worker
+processes, overrides the heuristic — the knob the CI uses to drive the whole
+suite through one engine.
 """
 
 from __future__ import annotations
@@ -58,14 +61,14 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import forced_engine, monotonic_time, notice_explicit_engine
 from ..core.configuration import Configuration
 from ..obs import profile as _obs_profile
 from ..obs import trace as _obs_trace
 from ..core.protocol import OUTPUT_ONE, OUTPUT_ZERO, Protocol
-from .compiled import OUT_ONE, OUT_UNDEFINED, OUT_ZERO, CompiledNet, StepperFn
+from .compiled import OUT_ONE, OUT_UNDEFINED, OUT_ZERO, CompiledNet
 from .scheduler import Scheduler, UniformScheduler
 from .trajectory import DEFAULT_TRAJECTORY_CAPACITY, Trajectory
 from .vectorized import numpy_available
@@ -85,14 +88,6 @@ _ENGINES = ("auto", "compiled", "numpy", "ensemble", "reference")
 #: splits the steady-state range while keeping every named protocol of the
 #: paper on the compiled engine.
 AUTO_VECTORIZE_THRESHOLD = 256
-
-# The ``engine="auto"`` override (one of ``reference`` / ``compiled`` /
-# ``numpy`` / ``auto``) is the ``REPRO_FORCE_ENGINE`` environment variable,
-# read through the sanctioned :mod:`repro.config` helper.  Explicit
-# ``engine=`` arguments are never overridden, so engine-equivalence tests
-# keep testing what they name.  Worker processes inherit the environment, so
-# a forced engine applies to process-backend ensembles too.
-
 
 @dataclass
 class SimulationResult:
@@ -123,6 +118,354 @@ class SimulationResult:
         )
 
 
+# ----------------------------------------------------------------------
+# Engines
+# ----------------------------------------------------------------------
+class ReferenceEngine:
+    """The sparse engine: any scheduler, any configuration.
+
+    One immutable :class:`~repro.core.configuration.Configuration` per step,
+    the scheduler's own ``choose``, and a full consensus rescan after every
+    firing — the executable specification the dense engines are checked
+    against.
+    """
+
+    name = "reference"
+    #: Runs are separable, so instrumentation times each seed on its own.
+    lockstep = False
+
+    def __init__(self, protocol: Protocol, scheduler: Scheduler) -> None:
+        self.protocol = protocol
+        self.net = protocol.petri_net
+        self.scheduler = scheduler
+
+    def admits(self, configuration: Configuration) -> bool:
+        """Every configuration is in the reference engine's universe."""
+        return True
+
+    def run_seeds(
+        self,
+        configuration: Configuration,
+        seeds: Sequence[int],
+        max_steps: int,
+        stability_window: int,
+        record: bool = False,
+        capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
+    ) -> List[SimulationResult]:
+        """One run per seed, each on ``random.Random(seed)``, in seed order."""
+        run = self.run
+        return [
+            run(configuration, random.Random(seed), max_steps, stability_window,
+                record, capacity)
+            for seed in seeds
+        ]
+
+    def run(
+        self,
+        configuration: Configuration,
+        rng: random.Random,
+        max_steps: int,
+        stability_window: int,
+        record: bool = False,
+        capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
+    ) -> SimulationResult:
+        """One run drawing from ``rng``."""
+        initial = configuration
+        current = configuration
+        consensus_value = self._consensus(current)
+        consensus_since: Optional[int] = 0 if consensus_value is not None else None
+        interactions = 0
+        # Recording: a deque bounded to the ring capacity keeps the *last*
+        # ``capacity`` fired indices, matching the dense engines' ring-buffer
+        # semantics exactly.
+        ring: Optional[deque] = None
+        index_of_transition = None
+        if record:
+            ring = deque(maxlen=capacity)
+            index_of_transition = {t: i for i, t in enumerate(self.net.transitions)}
+
+        def result(steps: int, terminated: bool) -> SimulationResult:
+            trajectory = None
+            if ring is not None:
+                trajectory = Trajectory(
+                    transition_indices=tuple(ring),
+                    total_fired=interactions,
+                    capacity=capacity,
+                )
+            return SimulationResult(
+                initial=initial,
+                final=current,
+                steps=steps,
+                consensus=consensus_value,
+                consensus_step=consensus_since,
+                terminated=terminated,
+                interactions_sampled=interactions,
+                trajectory=trajectory,
+            )
+
+        for step in range(1, max_steps + 1):
+            transition = self.scheduler.choose(self.net, current, rng)
+            if transition is None:
+                # Terminal configuration: the consensus (if any) is definitive.
+                return result(step - 1, True)
+            current = transition.fire(current)
+            interactions += 1
+            if ring is not None:
+                ring.append(index_of_transition[transition])
+            value = self._consensus(current)
+            if value is None or value != consensus_value:
+                consensus_value = value
+                consensus_since = step if value is not None else None
+            if (
+                consensus_value is not None
+                and consensus_since is not None
+                and step - consensus_since >= stability_window
+            ):
+                return result(step, False)
+        return result(max_steps, False)
+
+    def _consensus(self, configuration: Configuration) -> Optional[int]:
+        """The consensus value of a configuration, or None if outputs disagree."""
+        if self.protocol.has_consensus(configuration, OUTPUT_ONE):
+            return OUTPUT_ONE
+        if self.protocol.has_consensus(configuration, OUTPUT_ZERO):
+            return OUTPUT_ZERO
+        return None
+
+
+class DenseEngine:
+    """A stepper loop over one dense counts array (``compiled`` / ``numpy``).
+
+    ``net`` is the protocol's :class:`~repro.simulation.compiled.CompiledNet`
+    for ``name="compiled"`` and its
+    :class:`~repro.simulation.vectorized.VectorizedNet` otherwise; the two
+    share the dense mapping and the stepper signature, so the run loop below
+    serves both.  ``kind`` is the scheduler's dense kind and ``classes`` the
+    per-state output classes the stepper's consensus counters track.
+    """
+
+    lockstep = False
+
+    def __init__(self, name: str, protocol: Protocol, kind: str) -> None:
+        petri_net = protocol.petri_net
+        build = petri_net.compiled if name == "compiled" else petri_net.vectorized
+        self.name = name
+        self.net: CompiledNet = build(extra_states=protocol.states)
+        self.kind = kind
+        self.classes = self.net.output_classes(protocol.output_table)
+        self.stepper = self.net.stepper(kind, self.classes)
+
+    def admits(self, configuration: Configuration) -> bool:
+        """True if every state of ``configuration`` has a dense index."""
+        index_of = self.net.index_of
+        return all(state in index_of for state in configuration)
+
+    def run_seeds(
+        self,
+        configuration: Configuration,
+        seeds: Sequence[int],
+        max_steps: int,
+        stability_window: int,
+        record: bool = False,
+        capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
+    ) -> List[SimulationResult]:
+        """One run per seed, all reusing a single dense counts buffer."""
+        net = self.net
+        buffer = net.counts_of(configuration)
+        run = self._run
+        return [
+            run(configuration, net.counts_of(configuration, out=buffer),
+                random.Random(seed), max_steps, stability_window, record, capacity)
+            for seed in seeds
+        ]
+
+    def run(
+        self,
+        configuration: Configuration,
+        rng: random.Random,
+        max_steps: int,
+        stability_window: int,
+        record: bool = False,
+        capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
+    ) -> SimulationResult:
+        """One run drawing from ``rng``."""
+        return self._run(
+            configuration, self.net.counts_of(configuration), rng,
+            max_steps, stability_window, record, capacity,
+        )
+
+    def _run(
+        self,
+        initial: Configuration,
+        counts: List[int],
+        rng: random.Random,
+        max_steps: int,
+        stability_window: int,
+        record: bool,
+        capacity: int,
+    ) -> SimulationResult:
+        one, zero, undef = self._output_counters(counts)
+        if not record:
+            steps, value, since, terminated = self.stepper(
+                counts, rng, max_steps, stability_window, one, zero, undef
+            )
+            return self._result(initial, counts, steps, value, since, terminated, None)
+        # The run fires at most max_steps transitions, so the physical buffer
+        # never needs to exceed that — a huge capacity on a short run should
+        # not allocate gigabytes.  The reported capacity stays as requested:
+        # with total_fired <= max_steps the surviving suffix is the same.
+        physical = max(1, min(capacity, max_steps))
+        ring = [0] * physical
+        stepper = self.net.stepper(self.kind, self.classes, record=True)
+        steps, value, since, terminated = stepper(
+            counts, rng, max_steps, stability_window, one, zero, undef,
+            ring, physical,
+        )
+        trajectory = Trajectory.from_ring(
+            ring, steps, physical, reported_capacity=capacity
+        )
+        return self._result(initial, counts, steps, value, since, terminated, trajectory)
+
+    def _result(
+        self,
+        initial: Configuration,
+        counts: Sequence[int],
+        steps: int,
+        value: int,
+        since: int,
+        terminated: bool,
+        trajectory: Optional[Trajectory],
+    ) -> SimulationResult:
+        """A result from a stepper's return tuple (``-1`` meaning ``None``)."""
+        return SimulationResult(
+            initial=initial,
+            final=self.net.configuration_of(counts),
+            steps=steps,
+            consensus=value if value >= 0 else None,
+            consensus_step=since if since >= 0 else None,
+            terminated=terminated,
+            interactions_sampled=steps,
+            trajectory=trajectory,
+        )
+
+    def _output_counters(self, counts: Sequence[int]) -> Tuple[int, int, int]:
+        """The ``(one, zero, undef)`` output-class counters of dense counts."""
+        classes = self.classes
+        one = zero = undef = 0
+        for index, count in enumerate(counts):
+            if count:
+                kind = classes[index]
+                if kind == OUT_ONE:
+                    one += count
+                elif kind == OUT_ZERO:
+                    zero += count
+                elif kind == OUT_UNDEFINED:
+                    undef += count
+        return one, zero, undef
+
+
+class EnsembleEngine(DenseEngine):
+    """A NumPy dense engine whose ``run_seeds`` runs all seeds in lock step.
+
+    The :class:`~repro.simulation.ensemble.VectorizedEnsemble` is built on
+    the first ``run_seeds`` call and cached (its consensus-delta table is
+    worth reusing); single runs use the inherited per-run NumPy stepper.
+    """
+
+    #: Rows share one wall time, so instrumentation times the whole list.
+    lockstep = True
+
+    def __init__(self, name: str, protocol: Protocol, kind: str) -> None:
+        super().__init__(name, protocol, kind)
+        self._ensemble: Optional[Any] = None
+
+    def run_seeds(
+        self,
+        configuration: Configuration,
+        seeds: Sequence[int],
+        max_steps: int,
+        stability_window: int,
+        record: bool = False,
+        capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
+    ) -> List[SimulationResult]:
+        """One lock-step ensemble run; row ``i`` matches seed ``seeds[i]``."""
+        if not seeds:
+            return []
+        from .ensemble import VectorizedEnsemble
+        from .vectorized import require_numpy
+
+        np = require_numpy()
+        if self._ensemble is None:
+            self._ensemble = VectorizedEnsemble(self.net, self.kind, self.classes)
+        counts = self.net.counts_of(configuration)
+        one, zero, undef = self._output_counters(counts)
+        ring = None
+        physical = 0
+        if record:
+            # Same physical clamp as the per-run recording path.
+            physical = max(1, min(capacity, max_steps))
+            ring = np.zeros((len(seeds), physical), dtype=np.int64)
+        steps, values, since, terminated, finals = self._ensemble.run(
+            counts, seeds, max_steps, stability_window, one, zero, undef,
+            ring, physical,
+        )
+        results: List[SimulationResult] = []
+        for i in range(len(seeds)):
+            fired = int(steps[i])
+            trajectory = None
+            if ring is not None:
+                trajectory = Trajectory.from_ring(
+                    ring[i].tolist(), fired, physical, reported_capacity=capacity
+                )
+            results.append(self._result(
+                configuration, finals[i].tolist(), fired, int(values[i]),
+                int(since[i]), bool(terminated[i]), trajectory,
+            ))
+        return results
+
+
+_Engine = Union[ReferenceEngine, DenseEngine]
+
+
+def _observed(
+    engine: _Engine,
+    run_batch: Callable[[Sequence[Any]], List[SimulationResult]],
+    seeds: Sequence[Any],
+) -> List[SimulationResult]:
+    """``run_batch(seeds)``, with run spans and profiler records if enabled.
+
+    The one instrumentation point of every engine.  It decides once per
+    call: with no profiler and no tracer installed it is a single plain
+    ``run_batch`` call, so the disabled path carries no per-run branch
+    (bench E15 holds it within 2% of the bare loop).  Otherwise it times
+    every batch the engine can separate — each seed alone, or the whole
+    list for a lock-step engine, whose rows share the wall time evenly — and
+    emits one ``run`` span and one profiler record per run, labelled with
+    the engine that ran it.  A ``None`` seed (a run on the simulator's own
+    generator) leaves the span's ``seed`` attribute out.
+    """
+    profiler = _obs_profile.active_profiler()
+    if profiler is None and not _obs_trace.tracing_active():
+        return run_batch(seeds)
+    name = engine.name
+    batches = [seeds] if engine.lockstep else [[seed] for seed in seeds]
+    results: List[SimulationResult] = []
+    for batch in batches:
+        t0 = monotonic_time()
+        done = run_batch(batch)
+        per_run = (monotonic_time() - t0) / max(1, len(batch))
+        for seed, result in zip(batch, done):
+            if profiler is not None:
+                profiler.record(name, result.steps, per_run)
+            seed_attr = {} if seed is None else {"seed": int(seed)}
+            _obs_trace.span_event("run", "run", t0, per_run, **seed_attr,
+                                  engine=name, steps=result.steps,
+                                  consensus=result.consensus,
+                                  terminated=result.terminated)
+        results.extend(done)
+    return results
+
+
 class Simulator:
     """Simulate a protocol under a scheduler.
 
@@ -135,24 +478,12 @@ class Simulator:
     seed:
         Seed of the internal random generator (for reproducible runs).
     engine:
-        ``"auto"`` (default) picks a dense engine when the scheduler admits
-        one — the NumPy engine for nets with at least
-        :data:`AUTO_VECTORIZE_THRESHOLD` transitions (if NumPy is installed,
-        silently skipped otherwise), the compiled engine below that —
-        honouring the ``REPRO_FORCE_ENGINE`` environment override.
-        ``"compiled"`` and ``"numpy"`` require that engine (raising
-        ``ValueError`` for schedulers without a dense fast path, and
-        ``ImportError`` for ``"numpy"`` without NumPy installed);
-        ``"ensemble"`` requires NumPy the same way and additionally routes
-        :meth:`run_many` / batch seed lists through the lock-step
-        :class:`~repro.simulation.ensemble.VectorizedEnsemble` (single runs
-        use the bit-identical per-run NumPy stepper);
-        ``"reference"`` forces the sparse reference engine.
-
-        An explicit ``engine=`` argument is never overridden by
-        ``REPRO_FORCE_ENGINE`` — the override applies to ``engine="auto"``
-        only, and :func:`repro.config.notice_explicit_engine` warns once
-        when it is being ignored.
+        One of ``"auto"`` (default), ``"compiled"``, ``"numpy"``,
+        ``"ensemble"`` or ``"reference"``; the module docstring says what
+        each runs and how ``"auto"`` and ``REPRO_FORCE_ENGINE`` choose.  An
+        explicit dense engine raises ``ValueError`` for a scheduler without
+        a dense fast path, and ``"numpy"`` / ``"ensemble"`` raise
+        ``ImportError`` without NumPy installed.
     """
 
     def __init__(
@@ -176,36 +507,25 @@ class Simulator:
         self.rng = random.Random(seed)
         self.engine = engine
 
-        self._compiled: Optional[CompiledNet] = None
-        self._classes: Optional[Tuple[int, ...]] = None
-        self._stepper: Optional[StepperFn] = None
-        self._kind: Optional[str] = None
-        self._choice: Optional[str] = None
-        #: Cached lock-step engine (built on first ``run_many`` ensemble
-        #: dispatch — its consensus-delta table is worth reusing).
-        self._ensemble: Optional[Any] = None
+        self._reference = ReferenceEngine(protocol, self.scheduler)
+        #: The engine every run goes through (see :meth:`_engine_for`).
+        self._engine: _Engine = self._reference
         if engine != "reference":
             kind = self.scheduler.compiled_kind()
             if kind is None:
-                if engine in ("compiled", "numpy", "ensemble"):
+                if engine != "auto":
                     raise ValueError(
                         f"scheduler {type(self.scheduler).__name__} has no compiled fast "
                         "path; use engine='auto' or engine='reference'"
                     )
             else:
                 choice = self._resolve_auto(engine)
-                if choice in ("numpy", "ensemble"):
-                    self._compiled = self.net.vectorized(extra_states=self.protocol.states)
-                elif choice == "compiled":
-                    self._compiled = self.net.compiled(extra_states=self.protocol.states)
-                if self._compiled is not None:
-                    self._classes = self._compiled.output_classes(self.protocol.output_table)
-                    self._stepper = self._compiled.stepper(kind, self._classes)
-                    self._kind = kind
-                    self._choice = choice
+                if choice != "reference":
+                    dense = EnsembleEngine if choice == "ensemble" else DenseEngine
+                    self._engine = dense(choice, protocol, kind)
 
     def _resolve_auto(self, engine: str) -> str:
-        """The dense engine to build for a scheduler that admits one.
+        """The engine to build for a scheduler that admits a dense one.
 
         Returns ``"compiled"``, ``"numpy"``, ``"ensemble"`` or
         ``"reference"`` (the last two only explicitly or via the environment
@@ -224,6 +544,26 @@ class Simulator:
         if numpy_available() and self.net.num_transitions >= AUTO_VECTORIZE_THRESHOLD:
             return "numpy"
         return "compiled"
+
+    def _engine_for(
+        self, configuration: Configuration, record: bool, capacity: int
+    ) -> _Engine:
+        """The engine that runs ``configuration``, after validating the request.
+
+        The resolved engine if it admits the configuration; otherwise the
+        reference engine in auto mode, and a ``ValueError`` for an explicit
+        dense engine.
+        """
+        if record and capacity < 1:
+            raise ValueError("trajectory_capacity must be at least 1")
+        if self._engine.admits(configuration):
+            return self._engine
+        if self.engine != "auto":
+            raise ValueError(
+                "configuration mentions states outside the compiled universe; "
+                "use engine='auto' or engine='reference'"
+            )
+        return self._reference
 
     # ------------------------------------------------------------------
     # Single runs
@@ -260,219 +600,30 @@ class Simulator:
         record_trajectory: bool = False,
         trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
     ) -> SimulationResult:
-        """Simulate one execution from an arbitrary starting configuration."""
-        profiler = _obs_profile.active_profiler()
-        if profiler is None and not _obs_trace.tracing_active():
-            return self._dispatch(
-                configuration, max_steps, stability_window, self.rng,
+        """Simulate one execution from an arbitrary starting configuration.
+
+        The run draws from the simulator's own generator, so consecutive
+        runs continue one stream.
+        """
+        engine = self._engine_for(configuration, record_trajectory, trajectory_capacity)
+        rng = self.rng
+        (result,) = _observed(
+            engine,
+            lambda _batch: [engine.run(
+                configuration, rng, max_steps, stability_window,
                 record_trajectory, trajectory_capacity,
-            )
-        t0 = monotonic_time()
-        result = self._dispatch(
-            configuration, max_steps, stability_window, self.rng,
-            record_trajectory, trajectory_capacity,
-        )
-        elapsed = monotonic_time() - t0
-        engine_name = self._choice or "reference"
-        if profiler is not None:
-            profiler.record(engine_name, result.steps, elapsed)
-        _obs_trace.span_event(
-            "run", "run", t0, elapsed,
-            engine=engine_name, steps=result.steps,
-            consensus=result.consensus, terminated=result.terminated,
+            )],
+            [None],
         )
         return result
-
-    def _dispatch(
-        self,
-        configuration: Configuration,
-        max_steps: int,
-        stability_window: int,
-        rng: random.Random,
-        record_trajectory: bool = False,
-        trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
-    ) -> SimulationResult:
-        """Route a run to the compiled engine when possible."""
-        if record_trajectory and trajectory_capacity < 1:
-            raise ValueError("trajectory_capacity must be at least 1")
-        if self._stepper is not None:
-            counts = self._compiled.counts_of(configuration)
-            if counts is not None:
-                return self._run_compiled(
-                    configuration, counts, max_steps, stability_window, rng,
-                    record_trajectory, trajectory_capacity,
-                )
-            if self.engine in ("compiled", "numpy", "ensemble"):
-                raise ValueError(
-                    "configuration mentions states outside the compiled universe; "
-                    "use engine='auto' or engine='reference'"
-                )
-        return self._run_reference(
-            configuration, max_steps, stability_window, rng,
-            record_trajectory, trajectory_capacity,
-        )
-
-    # ------------------------------------------------------------------
-    # Compiled engine
-    # ------------------------------------------------------------------
-    def _initial_output_counters(self, counts: List[int]) -> Tuple[int, int, int]:
-        """The ``(one, zero, undef)`` output-class counters of dense counts."""
-        classes = self._classes
-        one = zero = undef = 0
-        for index, count in enumerate(counts):
-            if count:
-                kind = classes[index]
-                if kind == OUT_ONE:
-                    one += count
-                elif kind == OUT_ZERO:
-                    zero += count
-                elif kind == OUT_UNDEFINED:
-                    undef += count
-        return one, zero, undef
-
-    def _run_compiled(
-        self,
-        initial: Configuration,
-        counts: List[int],
-        max_steps: int,
-        stability_window: int,
-        rng: random.Random,
-        record_trajectory: bool = False,
-        trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
-    ) -> SimulationResult:
-        classes = self._classes
-        one, zero, undef = self._initial_output_counters(counts)
-        trajectory = None
-        if record_trajectory:
-            # The run fires at most max_steps transitions, so the physical
-            # buffer never needs to exceed that — a huge trajectory_capacity
-            # on a short run should not allocate gigabytes.  The reported
-            # capacity stays as requested: with total_fired <= max_steps the
-            # surviving suffix is the same either way.
-            physical = max(1, min(trajectory_capacity, max_steps))
-            ring = [0] * physical
-            stepper = self._compiled.stepper(self._kind, classes, record=True)
-            steps, value, since, terminated = stepper(
-                counts, rng, max_steps, stability_window, one, zero, undef,
-                ring, physical,
-            )
-            trajectory = Trajectory.from_ring(
-                ring, steps, physical, reported_capacity=trajectory_capacity
-            )
-        else:
-            steps, value, since, terminated = self._stepper(
-                counts, rng, max_steps, stability_window, one, zero, undef
-            )
-        return SimulationResult(
-            initial=initial,
-            final=self._compiled.configuration_of(counts),
-            steps=steps,
-            consensus=value if value >= 0 else None,
-            consensus_step=since if since >= 0 else None,
-            terminated=terminated,
-            interactions_sampled=steps,
-            trajectory=trajectory,
-        )
-
-    # ------------------------------------------------------------------
-    # Sparse reference engine
-    # ------------------------------------------------------------------
-    def _run_reference(
-        self,
-        configuration: Configuration,
-        max_steps: int,
-        stability_window: int,
-        rng: random.Random,
-        record_trajectory: bool = False,
-        trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
-    ) -> SimulationResult:
-        initial = configuration
-        current = configuration
-        consensus_value = self._consensus(current)
-        consensus_since: Optional[int] = 0 if consensus_value is not None else None
-        interactions = 0
-        # Recording: a deque bounded to the ring capacity keeps the *last*
-        # ``trajectory_capacity`` fired indices, matching the compiled engine's
-        # ring-buffer semantics exactly.
-        ring: Optional[deque] = None
-        index_of_transition = None
-        if record_trajectory:
-            ring = deque(maxlen=trajectory_capacity)
-            index_of_transition = {t: i for i, t in enumerate(self.net.transitions)}
-
-        def trajectory() -> Optional[Trajectory]:
-            if ring is None:
-                return None
-            return Trajectory(
-                transition_indices=tuple(ring),
-                total_fired=interactions,
-                capacity=trajectory_capacity,
-            )
-
-        for step in range(1, max_steps + 1):
-            transition = self.scheduler.choose(self.net, current, rng)
-            if transition is None:
-                # Terminal configuration: the consensus (if any) is definitive.
-                return SimulationResult(
-                    initial=initial,
-                    final=current,
-                    steps=step - 1,
-                    consensus=consensus_value,
-                    consensus_step=consensus_since,
-                    terminated=True,
-                    interactions_sampled=interactions,
-                    trajectory=trajectory(),
-                )
-            current = transition.fire(current)
-            interactions += 1
-            if ring is not None:
-                ring.append(index_of_transition[transition])
-            value = self._consensus(current)
-            if value is None or value != consensus_value:
-                consensus_value = value
-                consensus_since = step if value is not None else None
-            if (
-                consensus_value is not None
-                and consensus_since is not None
-                and step - consensus_since >= stability_window
-            ):
-                return SimulationResult(
-                    initial=initial,
-                    final=current,
-                    steps=step,
-                    consensus=consensus_value,
-                    consensus_step=consensus_since,
-                    terminated=False,
-                    interactions_sampled=interactions,
-                    trajectory=trajectory(),
-                )
-
-        return SimulationResult(
-            initial=initial,
-            final=current,
-            steps=max_steps,
-            consensus=consensus_value,
-            consensus_step=consensus_since,
-            terminated=False,
-            interactions_sampled=interactions,
-            trajectory=trajectory(),
-        )
-
-    def _consensus(self, configuration: Configuration) -> Optional[int]:
-        """The consensus value of a configuration, or None if outputs disagree."""
-        if self.protocol.has_consensus(configuration, OUTPUT_ONE):
-            return OUTPUT_ONE
-        if self.protocol.has_consensus(configuration, OUTPUT_ZERO):
-            return OUTPUT_ZERO
-        return None
 
     # ------------------------------------------------------------------
     # Repeated runs
     # ------------------------------------------------------------------
-    def _run_seeds(
+    def run_seeds(
         self,
         configuration: Configuration,
-        seeds: List[int],
+        seeds: Sequence[int],
         max_steps: int,
         stability_window: int,
         record_trajectory: bool = False,
@@ -481,10 +632,11 @@ class Simulator:
     ) -> List[SimulationResult]:
         """Run one repetition per seed from ``configuration``, in seed order.
 
-        The building block of both batch backends (the serial loop here, and
-        each worker's share under ``backend="process"``): on the compiled path
-        the whole sequence reuses a single dense counts buffer instead of
-        reallocating one per repetition.
+        Repetition ``i`` runs on ``random.Random(seeds[i])``.  This is the
+        building block of both batch backends (the serial loop, and each
+        worker's share under ``backend="process"``), of sweep cells and of
+        served jobs; the dense engines reuse one counts buffer across the
+        whole seed list, and the ensemble engine runs it in lock step.
 
         ``analytics`` optionally supplies an extraction spec (any object with
         an ``extract(result, protocol)`` method, canonically
@@ -497,202 +649,31 @@ class Simulator:
         fields (and any requested trajectory) are bit-identical to a run
         without analytics.
         """
+        engine = self._engine_for(configuration, record_trajectory, trajectory_capacity)
         record = record_trajectory
         capacity = trajectory_capacity
         if analytics is not None:
             # Record internally with room for the complete path: a run fires
             # at most max_steps transitions, so max_steps guarantees no ring
-            # overwrites (the compiled engine clamps its physical buffer the
+            # overwrites (the dense engines clamp their physical buffer the
             # same way, so a short run never over-allocates).
             record = True
             capacity = max(
                 1, max_steps, trajectory_capacity if record_trajectory else 0
             )
-        buffer: Optional[List[int]] = None
-        if self._stepper is not None:
-            buffer = self._compiled.counts_of(configuration)
-        if self._choice == "ensemble" and buffer is not None and seeds:
-            # Lock-step path: one VectorizedEnsemble run for the whole seed
-            # list.  Configurations outside the compiled universe fall
-            # through to the per-seed loop below, which either raises (for
-            # the explicit engine) or dispatches to the reference engine
-            # (auto mode with a forced override) — the same split as the
-            # per-run engines.
-            return self._run_seeds_ensemble(
-                configuration, buffer, seeds, max_steps, stability_window,
-                record, capacity, record_trajectory, trajectory_capacity,
-                analytics,
-            )
-        if _obs_trace.tracing_active() or _obs_profile.active_profiler() is not None:
-            # Instrumented twin of the loop below; the split keeps the
-            # disabled path structurally identical to the uninstrumented
-            # code (bench E15 asserts the disabled cost is ≤2%).
-            return self._run_seeds_observed(
-                configuration, seeds, max_steps, stability_window,
-                record, capacity, record_trajectory, trajectory_capacity,
-                analytics, buffer,
-            )
-        results: List[SimulationResult] = []
-        for seed in seeds:
-            run_rng = random.Random(seed)
-            if buffer is not None:
-                counts = self._compiled.counts_of(configuration, out=buffer)
-                result = self._run_compiled(
-                    configuration, counts, max_steps, stability_window, run_rng,
-                    record, capacity,
-                )
-            else:
-                result = self._dispatch(
-                    configuration, max_steps, stability_window, run_rng,
-                    record, capacity,
-                )
-            if analytics is not None:
-                result.analytics = analytics.extract(result, self.protocol)
-                self._restore_trajectory(
-                    result, record_trajectory, trajectory_capacity
-                )
-            results.append(result)
-        return results
-
-    def _run_seeds_observed(
-        self,
-        configuration: Configuration,
-        seeds: List[int],
-        max_steps: int,
-        stability_window: int,
-        record: bool,
-        capacity: int,
-        record_trajectory: bool,
-        trajectory_capacity: int,
-        analytics: Any,
-        buffer: Optional[List[int]],
-    ) -> List[SimulationResult]:
-        """The per-seed loop with tracing/profiling hooks enabled.
-
-        Semantically identical to the plain loop in :meth:`_run_seeds` —
-        instrumentation observes result objects and clocks, never the RNG
-        stream — plus two monotonic reads, one ``run`` span event, and one
-        profiler record per run.
-        """
-        profiler = _obs_profile.active_profiler()
-        engine_name = self._choice or "reference"
-        results: List[SimulationResult] = []
-        for seed in seeds:
-            run_rng = random.Random(seed)
-            t0 = monotonic_time()
-            if buffer is not None:
-                counts = self._compiled.counts_of(configuration, out=buffer)
-                result = self._run_compiled(
-                    configuration, counts, max_steps, stability_window, run_rng,
-                    record, capacity,
-                )
-            else:
-                result = self._dispatch(
-                    configuration, max_steps, stability_window, run_rng,
-                    record, capacity,
-                )
-            elapsed = monotonic_time() - t0
-            if profiler is not None:
-                profiler.record(engine_name, result.steps, elapsed)
-            _obs_trace.span_event(
-                "run", "run", t0, elapsed,
-                seed=int(seed), engine=engine_name, steps=result.steps,
-                consensus=result.consensus, terminated=result.terminated,
-            )
-            if analytics is not None:
-                result.analytics = analytics.extract(result, self.protocol)
-                self._restore_trajectory(
-                    result, record_trajectory, trajectory_capacity
-                )
-            results.append(result)
-        return results
-
-    def _run_seeds_ensemble(
-        self,
-        configuration: Configuration,
-        counts: List[int],
-        seeds: List[int],
-        max_steps: int,
-        stability_window: int,
-        record: bool,
-        capacity: int,
-        record_trajectory: bool,
-        trajectory_capacity: int,
-        analytics: Any,
-    ) -> List[SimulationResult]:
-        """Run one repetition per seed through the lock-step ensemble engine.
-
-        ``record``/``capacity`` are the effective recording parameters (the
-        analytics path records internally at full capacity, exactly like the
-        serial loop), ``record_trajectory``/``trajectory_capacity`` the
-        caller's — trajectories are restored to the requested shape after
-        metric extraction.  Row ``i`` of the ensemble is bit-identical to a
-        per-run engine run seeded with ``seeds[i]``.
-        """
-        from .ensemble import VectorizedEnsemble
-        from .vectorized import require_numpy
-
-        np = require_numpy()
-        ensemble = self._ensemble
-        if ensemble is None:
-            ensemble = VectorizedEnsemble(self._compiled, self._kind, self._classes)
-            self._ensemble = ensemble
-        one, zero, undef = self._initial_output_counters(counts)
-        ring = None
-        physical = 0
-        if record:
-            # Same physical clamp as the per-run recording path: a run fires
-            # at most max_steps transitions.
-            physical = max(1, min(capacity, max_steps))
-            ring = np.zeros((len(seeds), physical), dtype=np.int64)
-        profiler = _obs_profile.active_profiler()
-        observing = profiler is not None or _obs_trace.tracing_active()
-        t0 = monotonic_time() if observing else 0.0
-        steps, values, since, terminated, finals = ensemble.run(
-            counts, seeds, max_steps, stability_window, one, zero, undef,
-            ring, physical,
+        results = _observed(
+            engine,
+            lambda batch: engine.run_seeds(
+                configuration, batch, max_steps, stability_window, record, capacity
+            ),
+            seeds,
         )
-        # Rows advance in lock step, so per-row wall time is not separable;
-        # the observed cost is attributed evenly across rows (timing fields
-        # are stripped from the canonical rendering anyway).
-        per_row = (
-            (monotonic_time() - t0) / max(1, len(seeds)) if observing else 0.0
-        )
-        results: List[SimulationResult] = []
-        for i in range(len(seeds)):
-            fired_steps = int(steps[i])
-            value = int(values[i])
-            value_since = int(since[i])
-            trajectory = None
-            if ring is not None:
-                trajectory = Trajectory.from_ring(
-                    ring[i].tolist(), fired_steps, physical,
-                    reported_capacity=capacity,
-                )
-            result = SimulationResult(
-                initial=configuration,
-                final=self._compiled.configuration_of(finals[i].tolist()),
-                steps=fired_steps,
-                consensus=value if value >= 0 else None,
-                consensus_step=value_since if value_since >= 0 else None,
-                terminated=bool(terminated[i]),
-                interactions_sampled=fired_steps,
-                trajectory=trajectory,
-            )
-            if observing:
-                if profiler is not None:
-                    profiler.record("ensemble", fired_steps, per_row)
-                _obs_trace.span_event(
-                    "run", "run", t0, per_row,
-                    seed=int(seeds[i]), engine="ensemble", steps=fired_steps,
-                    consensus=result.consensus, terminated=result.terminated,
-                )
-            if analytics is not None:
+        if analytics is not None:
+            for result in results:
                 result.analytics = analytics.extract(result, self.protocol)
                 self._restore_trajectory(
                     result, record_trajectory, trajectory_capacity
                 )
-            results.append(result)
         return results
 
     @staticmethod

@@ -610,7 +610,7 @@ class SweepRunner:
         if self.backend == "serial":
             simulator = caches.serial_simulator(cell, protocol, scheduler)
             configuration = protocol.initial_configuration(inputs)
-            return simulator._run_seeds(
+            return simulator.run_seeds(
                 configuration, seeds, self.spec.max_steps,
                 self.spec.stability_window, False, DEFAULT_TRAJECTORY_CAPACITY,
                 analytics,

@@ -465,12 +465,12 @@ class TestPersistentPool:
         # The rebuild-waste fix: back-to-back ensembles on one runner must
         # not recompile steppers (the stepper object identity is stable).
         runner = BatchRunner(majority_protocol(), backend="serial")
-        stepper = runner._simulator._stepper
+        stepper = runner._simulator._engine.stepper
         assert stepper is not None
         inputs = _majority_inputs(18)
         runner.run_many(inputs, repetitions=3, seed=5, max_steps=500)
         runner.run_many(inputs, repetitions=3, seed=6, max_steps=500)
-        assert runner._simulator._stepper is stepper
+        assert runner._simulator._engine.stepper is stepper
         runner.close()
 
     def test_mixed_ensemble_parameters_on_one_pool(self):

@@ -173,7 +173,7 @@ class TestEngineSelection:
                 return None
 
         simulator = Simulator(majority_protocol(), scheduler=FirstEnabled(), seed=0)
-        assert simulator._stepper is None  # reference path
+        assert simulator._engine.name == "reference"
         result = simulator.run(from_counts(A=3, B=1), max_steps=500)
         assert result.consensus == 1
 

@@ -135,7 +135,7 @@ class TestRowBitIdentity:
 
         protocol, inputs = random_interaction_protocol(2048, random.Random(7))
         simulator = Simulator(protocol, engine="ensemble", seed=1)
-        tables = simulator._compiled.ensemble_tables()
+        tables = simulator._engine.net.ensemble_tables()
         assert tables.padded > 2048
         per_run, ensemble = _run_pair(
             protocol, inputs, None, reps=4, max_steps=200,
@@ -147,7 +147,7 @@ class TestRowBitIdentity:
     def test_multiplicity_nets_use_the_general_path(self):
         protocol, inputs = _multiplicity_protocol()
         simulator = Simulator(protocol, engine="ensemble", seed=5)
-        assert not simulator._compiled.ensemble_tables().fast_uniform
+        assert not simulator._engine.net.ensemble_tables().fast_uniform
         for scheduler in (None, TransitionScheduler()):
             per_run, ensemble = _run_pair(
                 protocol, inputs, scheduler, reps=8, max_steps=500,
@@ -239,13 +239,13 @@ class TestEngineSelection:
 
         protocol, _ = random_interaction_protocol(600, random.Random(3))
         simulator = Simulator(protocol, seed=0)
-        assert simulator._choice in ("compiled", "numpy")
+        assert simulator._engine.name in ("compiled", "numpy")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_force_engine_env_selects_the_ensemble(self, monkeypatch):
         monkeypatch.setenv(FORCE_ENGINE_ENV, "ensemble")
         simulator = Simulator(majority_protocol(), seed=0)
-        assert simulator._choice == "ensemble"
+        assert simulator._engine.name == "ensemble"
         per_run = Simulator(majority_protocol(), engine="numpy", seed=12).run_many(
             from_counts(A=9, B=6), 4, max_steps=2000
         )
@@ -303,7 +303,7 @@ class TestStepperProtocol:
 
         simulator = Simulator(majority_protocol(), engine="ensemble", seed=0)
         ensemble = VectorizedEnsemble(
-            simulator._compiled, "uniform", simulator._classes
+            simulator._engine.net, "uniform", simulator._engine.classes
         )
         assert isinstance(ensemble, Stepper)
         assert ensemble.source() is None
@@ -314,7 +314,7 @@ class TestStepperProtocol:
         import pickle
 
         simulator = Simulator(majority_protocol(), engine="ensemble", seed=0)
-        net = simulator._compiled
+        net = simulator._engine.net
         tables = net.ensemble_tables()
         assert net.ensemble_tables() is tables
         clone = pickle.loads(pickle.dumps(net))
@@ -332,7 +332,7 @@ class TestStepperProtocol:
             protocol, _ = random_interaction_protocol(
                 num_transitions, random.Random(num_transitions)
             )
-            net = Simulator(protocol, engine="ensemble", seed=0)._compiled
+            net = Simulator(protocol, engine="ensemble", seed=0)._engine.net
             tables = net.ensemble_tables()
             assert tables.padded >= tables.num_blocks * tables.block
             assert tables.padded > net.num_transitions

@@ -23,7 +23,8 @@ import threading
 
 import pytest
 
-from repro.core import from_counts
+from repro.core import Configuration, from_counts
+from repro.obs import profile as obs_profile
 from repro.obs import render
 from repro.obs import trace as obs_trace
 from repro.obs.__main__ import main as obs_main
@@ -31,11 +32,15 @@ from repro.obs.profile import RUN_SECONDS_BUCKETS, EngineProfiler
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.protocols import majority_protocol
 from repro.serve.server import SimulationServer
-from repro.simulation import Simulator
+from repro.simulation import Simulator, numpy_available
 from repro.sweep import MemoryResultStore, SweepRunner, SweepSpec
 from repro.sweep.runner import _HeartbeatPump
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+
+requires_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="NumPy not installed (the optional 'sim' extra)"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -302,12 +307,12 @@ class TestEngineProfiler:
 # ---------------------------------------------------------------------------
 
 
-def _traced_ensemble(path, backend, **kwargs):
+def _traced_ensemble(path, backend, engine="auto", **kwargs):
     protocol = majority_protocol()
     inputs = from_counts(A=16, B=8)
     _install_file_tracer(path)
     try:
-        results = Simulator(protocol, seed=2022).run_many(
+        results = Simulator(protocol, seed=2022, engine=engine).run_many(
             inputs, repetitions=8, max_steps=2000, backend=backend, **kwargs
         )
     finally:
@@ -316,9 +321,18 @@ def _traced_ensemble(path, backend, **kwargs):
 
 
 class TestEngineIntegration:
-    def test_traced_serial_ensemble_emits_run_spans_under_ensemble(self, tmp_path):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("engine", [
+        "compiled",
+        pytest.param("numpy", marks=requires_numpy),
+        pytest.param("ensemble", marks=requires_numpy),
+        "reference",
+    ])
+    def test_traced_serial_ensemble_emits_run_spans_under_ensemble(
+        self, tmp_path, engine
+    ):
         path = tmp_path / "serial.jsonl"
-        results = _traced_ensemble(path, "serial")
+        results = _traced_ensemble(path, "serial", engine=engine)
         events = render.load_events(str(path))
         runs = [e for e in events if e.get("kind") == "run"]
         ensembles = [e for e in events if e.get("kind") == "ensemble"]
@@ -326,6 +340,41 @@ class TestEngineIntegration:
         assert len(ensembles) == 1
         assert all(r["parent"] == ensembles[0]["id"] for r in runs)
         assert [r["attrs"]["steps"] for r in runs] == [r.steps for r in results]
+        assert {r["attrs"]["engine"] for r in runs} == {engine}
+
+    def test_single_run_emits_exactly_one_run_span(self):
+        simulator = Simulator(majority_protocol(), seed=2022)
+        with obs_trace.capture_events() as events:
+            result = simulator.run(from_counts(A=16, B=8), max_steps=2000)
+        runs = [e for e in events if e.get("kind") == "run"]
+        assert len(runs) == 1
+        assert runs[0]["attrs"]["steps"] == result.steps
+        assert runs[0]["attrs"]["engine"] == simulator._engine.name
+
+    def test_reference_fallback_is_labelled_reference(self, monkeypatch):
+        # Regression: auto mode resolves the compiled engine, but a
+        # configuration outside its universe runs on the reference engine;
+        # spans and profiler records must name the engine that ran.
+        monkeypatch.delenv("REPRO_FORCE_ENGINE", raising=False)
+        simulator = Simulator(majority_protocol(), seed=1)
+        assert simulator._engine.name == "compiled"
+        strange = Configuration({"A": 3, "B": 2, "Z": 1})
+        registry = MetricsRegistry()
+        assert obs_profile.active_profiler() is None
+        obs_profile.enable_profiling(registry)
+        try:
+            with obs_trace.capture_events() as events:
+                simulator.run_seeds(strange, [1, 2], 500, 50)
+                simulator.run_from(strange, max_steps=500, stability_window=50)
+        finally:
+            obs_profile.disable_profiling()
+        runs = [e for e in events if e.get("kind") == "run"]
+        assert [r["attrs"]["engine"] for r in runs] == ["reference"] * 3
+        engine_runs = registry.counter(
+            "repro_engine_runs_total", "", labelnames=("engine",)
+        )
+        assert engine_runs.value(engine="reference") == 3
+        assert engine_runs.value(engine="compiled") == 0
 
     def test_process_trace_reconstructs_dispatch_and_chunk_layers(self, tmp_path):
         path = tmp_path / "process.jsonl"

@@ -223,14 +223,14 @@ class TestEngineSelection:
     def test_auto_uses_compiled_below_the_threshold(self, monkeypatch):
         monkeypatch.delenv("REPRO_FORCE_ENGINE", raising=False)
         simulator = Simulator(majority_protocol(), seed=0)
-        assert isinstance(simulator._compiled, CompiledNet)
-        assert not isinstance(simulator._compiled, VectorizedNet)
+        assert isinstance(simulator._engine.net, CompiledNet)
+        assert not isinstance(simulator._engine.net, VectorizedNet)
 
     def test_auto_uses_numpy_above_the_threshold(self, monkeypatch):
         monkeypatch.delenv("REPRO_FORCE_ENGINE", raising=False)
         monkeypatch.setattr(simulator_module, "AUTO_VECTORIZE_THRESHOLD", 1)
         simulator = Simulator(majority_protocol(), seed=0)
-        assert isinstance(simulator._compiled, VectorizedNet)
+        assert isinstance(simulator._engine.net, VectorizedNet)
         # The auto-selected vectorized engine still matches the reference.
         inputs = from_counts(A=7, B=3)
         fast = simulator.run(inputs, max_steps=1000, stability_window=100)
@@ -242,24 +242,24 @@ class TestEngineSelection:
     def test_force_engine_env_overrides_auto(self, monkeypatch):
         protocol = majority_protocol()
         monkeypatch.setenv("REPRO_FORCE_ENGINE", "numpy")
-        assert isinstance(Simulator(protocol, seed=0)._compiled, VectorizedNet)
+        assert isinstance(Simulator(protocol, seed=0)._engine.net, VectorizedNet)
         monkeypatch.setenv("REPRO_FORCE_ENGINE", "compiled")
-        forced = Simulator(protocol, seed=0)._compiled
+        forced = Simulator(protocol, seed=0)._engine.net
         assert isinstance(forced, CompiledNet) and not isinstance(forced, VectorizedNet)
         monkeypatch.setenv("REPRO_FORCE_ENGINE", "reference")
-        assert Simulator(protocol, seed=0)._stepper is None
+        assert Simulator(protocol, seed=0)._engine.name == "reference"
         monkeypatch.setenv("REPRO_FORCE_ENGINE", "auto")
-        assert Simulator(protocol, seed=0)._stepper is not None
+        assert Simulator(protocol, seed=0)._engine.name != "reference"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_force_engine_env_does_not_override_explicit_engines(self, monkeypatch):
         # The shadowed override intentionally trips the one-time warning
         # (tested on its own in test_ensemble_engine.py).
         monkeypatch.setenv("REPRO_FORCE_ENGINE", "numpy")
-        explicit = Simulator(majority_protocol(), seed=0, engine="compiled")._compiled
+        explicit = Simulator(majority_protocol(), seed=0, engine="compiled")._engine.net
         assert isinstance(explicit, CompiledNet)
         assert not isinstance(explicit, VectorizedNet)
-        assert Simulator(majority_protocol(), seed=0, engine="reference")._stepper is None
+        assert Simulator(majority_protocol(), seed=0, engine="reference")._engine.name == "reference"
 
     def test_invalid_force_engine_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_FORCE_ENGINE", "turbo")
@@ -311,8 +311,8 @@ class TestMissingNumpy:
         monkeypatch.setattr(vectorized_module, "_np", None)
         monkeypatch.setattr(simulator_module, "AUTO_VECTORIZE_THRESHOLD", 1)
         simulator = Simulator(majority_protocol(), seed=0)
-        assert isinstance(simulator._compiled, CompiledNet)
-        assert not isinstance(simulator._compiled, VectorizedNet)
+        assert isinstance(simulator._engine.net, CompiledNet)
+        assert not isinstance(simulator._engine.net, VectorizedNet)
         result = simulator.run(from_counts(A=5, B=2), max_steps=2000)
         assert result.consensus == 1
 
