@@ -8,7 +8,9 @@ branch at all.  This benchmark pins that contract.
 
 It replicates the plain compiled loop body inline (counts buffer reuse, the
 stepper call, the result construction — the code the disabled path executes,
-without the seam's per-ensemble dispatch) as the baseline, then interleaves
+without the seam's per-ensemble dispatch) as the baseline, on the very
+stepper the engine runs (native or generated) and handing it the seed the
+way the engine does, then interleaves
 it against the real entry point with tracing and profiling off.  Best-of-N on
 both sides, same machine, same buffers; the real entry point may cost at most
 2% more — the acceptance budget from the obs design.
@@ -45,7 +47,6 @@ def _baseline_loop(simulator, configuration, seeds):
     buffer = net.counts_of(configuration)
     results = []
     for seed in seeds:
-        run_rng = random.Random(seed)
         counts = net.counts_of(configuration, out=buffer)
         one = zero = undef = 0
         for index, count in enumerate(counts):
@@ -58,7 +59,7 @@ def _baseline_loop(simulator, configuration, seeds):
                 elif kind == OUT_UNDEFINED:
                     undef += count
         steps, value, since, terminated = stepper(
-            counts, run_rng, MAX_STEPS, STABILITY_WINDOW, one, zero, undef
+            counts, seed, MAX_STEPS, STABILITY_WINDOW, one, zero, undef
         )
         results.append(SimulationResult(
             initial=configuration,

@@ -58,13 +58,14 @@ FAST_JOB_RESPELLED = {
 
 #: A job slow enough to still be running when the 429 probe and the SIGTERM
 #: arrive: the stability window equals the step budget, so no run can stop
-#: early at consensus.
+#: early at consensus.  96M fired transitions take ~3 s on 2 workers of the
+#: native stepper (~17M transitions/s each).
 SLOW_JOB = {
     "protocol": "majority",
     "population": 200,
     "repetitions": 4,
-    "max_steps": 1200000,
-    "stability_window": 1200000,
+    "max_steps": 24000000,
+    "stability_window": 24000000,
 }
 
 

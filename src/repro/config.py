@@ -69,6 +69,14 @@ The recognized variables:
     bench-asserted to cost ≤2% on the compiled engine.  Read through
     :func:`metrics_enabled`.
 
+The native stepper (:mod:`repro.simulation.native`) takes two more inputs
+from the process environment, neither of them a ``REPRO_*`` knob: the C
+compiler, ``cc`` looked up on ``PATH`` (:func:`c_compiler`), and the cache
+directory its kernel is built into, ``$XDG_CACHE_HOME/repro-native`` or
+``~/.cache/repro-native`` (:func:`native_cache_dir`).  Neither can change a
+computed result: the kernel is checked against :class:`random.Random` before
+use, and without it the generated Python stepper runs the same draws.
+
 All integer knobs share one discipline (:func:`_positive_int_env`): malformed
 or out-of-range values raise a :class:`ValueError` naming the variable —
 configuration is never silently repaired.  Boolean knobs
@@ -92,6 +100,7 @@ exported at spawn time — the behavior the CI jobs pin.
 from __future__ import annotations
 
 import os
+import shutil
 import time
 import warnings
 from typing import Optional, Sequence, Set, Tuple
@@ -112,11 +121,13 @@ __all__ = [
     "SERVE_PORT_ENV",
     "TRACE_ENV",
     "TRACE_PATH_ENV",
+    "c_compiler",
     "default_batch_workers",
     "fault_plan_text",
     "forced_engine",
     "metrics_enabled",
     "monotonic_time",
+    "native_cache_dir",
     "notice_explicit_engine",
     "serve_cache_size",
     "serve_host",
@@ -304,6 +315,21 @@ def serve_max_inflight() -> int:
     new submissions are rejected with HTTP 429.  Must be at least 1.
     """
     return _positive_int_env(SERVE_MAX_INFLIGHT_ENV, DEFAULT_SERVE_MAX_INFLIGHT)
+
+
+def c_compiler() -> Optional[str]:
+    """The C compiler the native stepper is built with: ``cc`` on ``PATH``,
+    or ``None`` when there is none."""
+    return shutil.which("cc")
+
+
+def native_cache_dir() -> str:
+    """Where native stepper builds are cached: ``repro-native`` under
+    ``$XDG_CACHE_HOME``, else under ``~/.cache``."""
+    base = os.environ.get("XDG_CACHE_HOME", "").strip()
+    if not base:
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "repro-native")
 
 
 # ----------------------------------------------------------------------

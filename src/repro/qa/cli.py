@@ -15,7 +15,8 @@ Subcommands, mirroring the ``repro.analytics`` exit-code convention
 ``audit-codegen``
     Generate and structurally audit the compiled steppers (fast + recording,
     both scheduler kinds) of every registered sweep protocol at several
-    populations (:mod:`repro.qa.codegen_audit`).
+    populations, and the tables of their native steppers when the kernel
+    loads (:mod:`repro.qa.codegen_audit`).
 
 ``check-pickle <paths...>``
     Run only the pickle-safety pass (the lint subcommand includes it; this
@@ -137,11 +138,15 @@ def _command_check_pickle(arguments: argparse.Namespace) -> int:
 
 def _command_audit_codegen(arguments: argparse.Namespace) -> int:
     # Imported lazily: the lint path must not require the simulation stack.
+    from ..simulation import native
     from ..simulation.vectorized import numpy_available
     from ..sweep.spec import available_sweep_protocols, build_protocol_and_inputs
 
     populations = arguments.population or list(codegen_audit.DEFAULT_AUDIT_POPULATIONS)
     names = arguments.protocol or list(available_sweep_protocols())
+    with_native = native.kernel() is not None
+    if not with_native:
+        print("qa: native kernel unavailable, skipping the native-table audit")
     with_ensemble = numpy_available()
     if not with_ensemble:
         print("qa: NumPy unavailable, skipping the ensemble-table audit")
@@ -161,6 +166,8 @@ def _command_audit_codegen(arguments: argparse.Namespace) -> int:
             compiled = net.compiled(extra_states=protocol.states)
             classes = compiled.output_classes(protocol.output_table)
             problems = codegen_audit.audit_compiled_net(compiled, classes)
+            if with_native:
+                problems += codegen_audit.audit_native_net(compiled, classes)
             if with_ensemble:
                 vectorized = net.vectorized(extra_states=protocol.states)
                 problems += [
@@ -180,6 +187,7 @@ def _command_audit_codegen(arguments: argparse.Namespace) -> int:
                     f"{name}@{population}: ok "
                     f"(|P|={compiled.num_states}, |T|={compiled.num_transitions}, "
                     "kinds=uniform+transition, fast+recording"
+                    + (", native tables" if with_native else "")
                     + (", ensemble tables)" if with_ensemble else ")")
                 )
     print(f"qa: audited {audited} protocol/population pairs, {failures} failing")

@@ -43,13 +43,24 @@ writes), the padded fast-path tables must agree with the CSR ones, and
 ``Stepper`` protocol with a consensus-delta table matching the compiled
 engines'.
 
+The native stepper (:mod:`repro.simulation.native`) has no generated
+source either: one C kernel reads a net's tables as flattened CSR arrays.
+:func:`audit_native_net` reads those arrays back through the very pointers
+the kernel is handed and checks that they decode to the net's
+``pre_lists`` / ``delta_lists`` / ``affected`` tuples and its
+``consensus_deltas``, for every kind and recording variant, and that each
+stepper reports no source and ``qa_meta["implementation"] == "native"``.
+
 The entry points are :func:`audit_stepper_source` (one source string — used
 by tests to prove the auditor rejects corrupted code),
-:func:`audit_compiled_net` (every variant of one net) and
+:func:`audit_compiled_net` (every variant of one net),
+:func:`audit_native_stepper` / :func:`audit_native_net` (the native tables
+of one stepper / of every variant of one net) and
 :func:`audit_ensemble_net` (the ensemble plan tables of one vectorized
 net); the CLI subcommand ``python -m repro.qa audit-codegen`` runs the
-latter two over every registered sweep protocol at several populations
-(the ensemble audit is skipped when NumPy is unavailable).
+net-level audits over every registered sweep protocol at several
+populations (the native audit is skipped when the kernel cannot load, the
+ensemble audit when NumPy is unavailable).
 """
 
 from __future__ import annotations
@@ -62,6 +73,8 @@ from ..simulation.compiled import OUT_IGNORED, CompiledNet, _KINDS
 __all__ = [
     "audit_stepper_source",
     "audit_compiled_net",
+    "audit_native_stepper",
+    "audit_native_net",
     "audit_ensemble_net",
     "DEFAULT_AUDIT_POPULATIONS",
 ]
@@ -412,6 +425,77 @@ def audit_compiled_net(
                 f"{kind}: recording variant differs from the fast variant by "
                 "more than ring-write statements"
             )
+    return problems
+
+
+def audit_native_stepper(
+    stepper: Any, net: CompiledNet, classes: Sequence[int]
+) -> List[str]:
+    """Audit one native stepper against the net and classes it was built for.
+
+    Returns problem descriptions like :func:`audit_compiled_net`; an empty
+    list means the stepper is a table-driven :class:`Stepper` whose kernel
+    tables decode to exactly the net's dense tuples.
+    """
+    from ..simulation.compiled import Stepper
+
+    problems: List[str] = []
+    if not isinstance(stepper, Stepper):
+        problems.append(f"{stepper!r} is not a Stepper")
+    if stepper.source() is not None:
+        problems.append("native stepper claims generated source")
+    implementation = stepper.qa_meta.get("implementation")
+    if implementation != "native":
+        problems.append(f"qa_meta implementation is {implementation!r}")
+        return problems
+    decoded = stepper.decoded_tables()
+    expected = {
+        "pre_lists": net.pre_lists,
+        "delta_lists": net.delta_lists,
+        "affected": net.affected,
+        "consensus_deltas": net.consensus_deltas(tuple(classes)),
+    }
+    for name, want in expected.items():
+        got = decoded[name]
+        if len(got) != len(want):
+            problems.append(
+                f"kernel {name} has {len(got)} rows for {len(want)} transitions"
+            )
+            continue
+        for t, (got_row, want_row) in enumerate(zip(got, want)):
+            if tuple(got_row) != tuple(want_row):
+                problems.append(
+                    f"transition {t}: kernel {name} row {tuple(got_row)}, "
+                    f"net says {tuple(want_row)}"
+                )
+    return problems
+
+
+def audit_native_net(
+    net: CompiledNet,
+    classes: Optional[Sequence[int]] = None,
+    kinds: Sequence[str] = _KINDS,
+) -> List[str]:
+    """Audit the native stepper of every variant (kind x {fast, recording}).
+
+    Requires the native kernel to be loaded (callers gate on
+    :func:`repro.simulation.native.kernel`); a variant that still comes back
+    as a generated stepper is reported.
+    """
+    if classes is None:
+        classes = (OUT_IGNORED,) * net.num_states
+    classes = tuple(classes)
+    problems: List[str] = []
+    for kind in kinds:
+        for record in (False, True):
+            variant = f"native {kind}/{'recording' if record else 'fast'}"
+            stepper = net.stepper(kind, classes, record=record)
+            if stepper.qa_meta.get("record") is not record or stepper.qa_meta.get(
+                "kind"
+            ) != kind:
+                problems.append(f"{variant}: stepper built for another variant")
+            for problem in audit_native_stepper(stepper, net, classes):
+                problems.append(f"{variant}: {problem}")
     return problems
 
 

@@ -8,12 +8,13 @@ The simulation layer is organized in three tiers:
 A single run executes on one of three per-run engines with identical
 semantics:
 
-* the *compiled* dense-array engine — states mapped to dense indices, a
-  generated straight-line stepper mutating one counts array with incremental
-  scheduler weights and O(1) consensus counters.  Unbeatable on the small
-  nets of the named protocols, but its per-step dispatch (and its codegen)
-  grows linearly in the transition count, and beyond ~2500 transitions the
-  generated code exceeds what CPython can compile;
+* the *compiled* dense-array engine — states mapped to dense indices, one
+  counts array mutated in place with incremental scheduler weights and O(1)
+  consensus counters.  Its loop is the table-driven native C kernel
+  (:mod:`~repro.simulation.native`, built once with the system C compiler)
+  whenever that loads, else a generated straight-line Python stepper, whose
+  per-step dispatch (and codegen) grows linearly in the transition count and
+  which beyond ~2500 transitions exceeds what CPython can compile;
 * the *NumPy* engine (``engine="numpy"``, optional ``sim`` extra) — the same
   dense mapping, with the counts and scheduler weights kept as ``int64``
   vectors updated by array kernels through a precomputed transition-adjacency

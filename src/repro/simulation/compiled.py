@@ -28,6 +28,15 @@ schedulers (one ``randrange(total)`` per step for the uniform discipline, one
 ``(protocol, inputs, seed)`` the compiled and reference engines produce
 identical trajectories step for step; the test suite asserts this.
 
+Generated code is the fallback, not the fast path: whenever the native C
+kernel of :mod:`repro.simulation.native` loads, :meth:`CompiledNet.stepper`
+returns a :class:`~repro.simulation.native.NativeStepper`, which runs the
+same loop over the tables below (flattened by :meth:`CompiledNet
+.native_tables`) with the same draws, and builds the generated stepper only
+for what it declines — runs beyond the int64 bound of
+:meth:`CompiledNet.int64_safe`, generators it does not model.  With no C
+compiler, the generated stepper runs everything.
+
 The dense mapping built here (state indexing, ``pre``/``delta`` tuples, the
 ``affected`` incremental-scheduling map, output classes and consensus deltas)
 is shared with the NumPy engine: :class:`~repro.simulation.vectorized
@@ -39,6 +48,8 @@ transitions than the unrolled dispatch can stomach (see
 
 from __future__ import annotations
 
+import random
+from functools import partial
 from math import comb
 from typing import (
     Any,
@@ -48,6 +59,7 @@ from typing import (
     List,
     Optional,
     Protocol as TypingProtocol,
+    Sequence,
     Tuple,
     runtime_checkable,
 )
@@ -55,6 +67,7 @@ from typing import (
 from ..core.configuration import Configuration, State
 from ..core.petrinet import PetriNet
 from ..core.protocol import OUTPUT_ONE, OUTPUT_ZERO, Output
+from . import native as _native
 
 __all__ = [
     "OUT_ZERO",
@@ -97,15 +110,16 @@ class Stepper(TypingProtocol):
       :meth:`CompiledNet.stepper` (``counts`` mutated in place, ``-1`` as the
       ``None`` sentinel, optional trailing ``ring``/``capacity``),
     * :meth:`source` returns the generated Python source when the loop *is*
-      generated code (the compiled engine), and ``None`` for kernel-backed
-      loops (the NumPy and ensemble engines) — the hook the codegen auditor
+      generated code, and ``None`` for kernel-backed loops (the native,
+      NumPy and ensemble steppers) — the hook the codegen auditor
       (:mod:`repro.qa.codegen_audit`) keys off to decide whether to audit
-      emitted source or kernel-plan structure,
+      emitted source or kernel tables,
     * :attr:`qa_meta` carries structured generator/kernel metadata (label,
       scheduler kind, transition count, ...) for the same auditor.
 
     Concrete implementations: :class:`GeneratedStepper` (exec-compiled
-    straight-line code), :class:`~repro.simulation.vectorized.KernelStepper`
+    straight-line code), :class:`~repro.simulation.native.NativeStepper`
+    (the C kernel), :class:`~repro.simulation.vectorized.KernelStepper`
     (NumPy kernels).  The lock-step ensemble shares the QA hooks only.
     """
 
@@ -123,28 +137,24 @@ class GeneratedStepper:
 
     Wraps the ``exec``-compiled function together with the emitted source and
     the generator's structured metadata; the wrapper is entered once per run
-    (the loop lives inside), so the indirection costs nothing per step.  The
-    legacy ``__source__`` / ``__qa_meta__`` attribute spellings are kept for
-    debugging parity with the pre-protocol closures.
+    (the loop lives inside), so the indirection costs nothing per step.
     """
 
     def __init__(
         self, fn: StepperFn, source: str, qa_meta: Dict[str, object]
     ) -> None:
         self._fn = fn
-        self.__source__ = source
+        self._source = source
         self.qa_meta = qa_meta
 
-    def __call__(self, *args: Any, **kwargs: Any) -> Tuple[int, int, int, bool]:
-        return self._fn(*args, **kwargs)
+    def __call__(self, counts: List[int], rng: Any, *args: Any) -> Tuple[int, int, int, bool]:
+        if not isinstance(rng, random.Random):
+            rng = random.Random(rng)
+        return self._fn(counts, rng, *args)
 
     def source(self) -> str:
         """The emitted Python source of the loop (the QA audit hook)."""
-        return self.__source__
-
-    @property
-    def __qa_meta__(self) -> Dict[str, object]:
-        return self.qa_meta
+        return self._source
 
     def __repr__(self) -> str:
         return f"GeneratedStepper({self.qa_meta.get('label', '?')})"
@@ -221,13 +231,35 @@ class CompiledNet:
             affected.append(tuple(sorted(hit)))
         self.affected: Tuple[Tuple[int, ...], ...] = tuple(affected)
 
-        self._steppers: Dict[Tuple[str, Tuple[int, ...], bool], Stepper] = {}
+        # Static int64 bound inputs (see int64_safe): a transition's weight is
+        # a product of at most ``_max_weight_factors`` state counts (the
+        # falling-factorial length, sum of pre multiplicities), a step can
+        # raise a single state count by at most ``_max_positive_delta`` and
+        # the population by at most ``_max_growth``.
+        self._max_weight_factors = max(
+            (sum(needed for _, needed in pre) for pre in self.pre_lists),
+            default=1,
+        ) or 1
+        self._max_positive_delta = max(
+            (diff for delta in self.delta_lists for _, diff in delta if diff > 0),
+            default=0,
+        )
+        self._max_growth = max(
+            (sum(diff for _, diff in delta if diff > 0) for delta in self.delta_lists),
+            default=0,
+        )
+        self._conservative = net.is_conservative()
+
+        self._steppers: Dict[Tuple[str, Tuple[int, ...], bool, bool], Stepper] = {}
+        self._native_tables: Optional[_native.NetTables] = None
 
     def __getstate__(self) -> Dict[str, object]:
-        """Drop the generated steppers: ``exec``-compiled functions cannot be
-        pickled, and worker processes regenerate them on first use anyway."""
+        """Drop the steppers and the native tables: ``exec``-compiled
+        functions and ctypes handles cannot be pickled, and worker processes
+        rebuild both on first use anyway."""
         state = self.__dict__.copy()
         state["_steppers"] = {}
+        state["_native_tables"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -245,6 +277,81 @@ class CompiledNet:
 
     def __repr__(self) -> str:
         return f"CompiledNet(|P|={self.num_states}, |T|={self.num_transitions})"
+
+    # ------------------------------------------------------------------
+    # The int64 bound shared by the native and NumPy engines
+    # ------------------------------------------------------------------
+    def _weights_fit_int64(self, counts: Sequence[int], max_steps: int) -> Tuple[bool, int]:
+        """Whether every scheduler weight and weight total of a run stays in
+        int64, and the state-count bound that decided it.
+
+        A transition's weight is a product of at most ``_max_weight_factors``
+        state counts, every state count stays below ``count_bound`` for the
+        whole run (counts can only grow by ``_max_positive_delta`` per step),
+        so every weight stays below ``count_bound ** factors`` and the weight
+        total below ``num_transitions * count_bound ** factors``.  Requiring
+        ``count_bound < 2 ** limit_bits`` with ``limit_bits * factors +
+        bit_length(num_transitions) <= 63`` therefore keeps every partial sum
+        exact — int64 arithmetic would otherwise wrap silently rather than
+        raise.  The bound is computed in Python integers, before any int64
+        conversion: an int64 sum of an astronomical population would itself
+        wrap and bypass the guard.
+        """
+        factors = self._max_weight_factors
+        limit_bits = max(
+            0, (63 - max(1, self.num_transitions).bit_length()) // factors
+        )
+        if self._conservative:
+            # Conservative nets keep the population invariant, so the total
+            # is a lifetime bound on every state count.
+            count_bound = sum(counts)
+        else:
+            count_bound = max(counts, default=0)
+            count_bound += max_steps * self._max_positive_delta
+        return not (count_bound > 0 and (count_bound >> limit_bits) > 0), count_bound
+
+    def int64_safe(self, counts: Sequence[int], max_steps: int) -> bool:
+        """True if a run of up to ``max_steps`` steps from ``counts`` keeps
+        every state count, scheduler weight, weight total and output counter
+        inside int64 — the runs the native stepper accepts.
+
+        On top of the weight bound (see :meth:`check_weight_overflow`), the
+        output counters of a non-conservative net sum state counts, so the
+        population itself must stay below ``2**62``.
+        """
+        if not self._weights_fit_int64(counts, max_steps)[0]:
+            return False
+        if self._conservative:
+            return True
+        return sum(counts) + max_steps * self._max_growth < 2 ** 62
+
+    def check_weight_overflow(self, counts: Sequence[int], max_steps: int) -> None:
+        """Raise :class:`OverflowError` for a run whose scheduler weights
+        could leave int64 (see :meth:`_weights_fit_int64`).
+
+        The NumPy engines hold counts and weights in int64 arrays and call
+        this up front — the per-run uniform stepper and the lock-step
+        ensemble engine (:mod:`repro.simulation.ensemble`) alike, so the two
+        reject exactly the same runs.  The compiled engine never raises: its
+        native stepper hands such runs to the generated stepper, which
+        computes in Python integers.
+        """
+        fits, count_bound = self._weights_fit_int64(counts, max_steps)
+        if not fits:
+            raise OverflowError(
+                "population or step budget too large for the int64 NumPy "
+                f"engine (state counts may reach {count_bound} over "
+                f"{max_steps} steps, risking scheduler-weight overflow "
+                f"on {self.num_transitions} transitions); use "
+                "engine='compiled', which computes weights in "
+                "arbitrary-precision Python integers"
+            )
+
+    def native_tables(self) -> "_native.NetTables":
+        """The flattened CSR tables the native kernel reads, built once."""
+        if self._native_tables is None:
+            self._native_tables = _native.NetTables(self)
+        return self._native_tables
 
     # ------------------------------------------------------------------
     # Conversions between sparse configurations and dense count arrays
@@ -320,18 +427,22 @@ class CompiledNet:
     # Stepper generation
     # ------------------------------------------------------------------
     def stepper(self, kind: str, classes: Tuple[int, ...], record: bool = False) -> Stepper:
-        """The generated simulation loop for a scheduler ``kind`` and output classes.
+        """The simulation loop for a scheduler ``kind`` and output classes.
 
-        Returns a :class:`Stepper` (a :class:`GeneratedStepper` here; the
-        NumPy subclass returns kernel-backed steppers) whose call signature
-        is::
+        Returns a :class:`Stepper`: the native kernel's
+        :class:`~repro.simulation.native.NativeStepper` whenever the kernel
+        loaded in this process, else a :class:`GeneratedStepper` (which is
+        also the native stepper's fallback, built on first use); the NumPy
+        subclass returns kernel-backed steppers.  The call signature is::
 
             stepper(counts, rng, max_steps, stability_window, one, zero, undef)
                 -> (steps, consensus_value, consensus_since, terminated)
 
-        where ``counts`` is mutated in place, ``one``/``zero``/``undef`` are
-        the initial consensus counters, and ``consensus_value`` /
-        ``consensus_since`` use ``-1`` as the ``None`` sentinel.
+        where ``counts`` is mutated in place, ``rng`` is a
+        :class:`random.Random` or a seed standing for a fresh
+        ``random.Random(seed)``, ``one``/``zero``/``undef`` are the initial
+        consensus counters, and ``consensus_value`` / ``consensus_since`` use
+        ``-1`` as the ``None`` sentinel.
 
         With ``record=True`` the signature gains two trailing parameters
         ``(ring, capacity)``: ``ring`` is a caller-allocated list of length
@@ -340,12 +451,20 @@ class CompiledNet:
         :meth:`~repro.simulation.trajectory.Trajectory.from_ring`).  Recording
         is a separate generated variant so the non-recording fast path pays
         nothing for the feature.  Steppers are cached per
-        ``(kind, classes, record)``.
+        ``(kind, classes, record)`` and per implementation.
         """
-        key = (kind, tuple(classes), bool(record))
+        check_kind(kind)
+        loaded = _native.kernel()
+        key = (kind, tuple(classes), bool(record), loaded is not None)
         stepper = self._steppers.get(key)
         if stepper is None:
-            stepper = _generate_stepper(self, kind, key[1], record=key[2])
+            generate = partial(_generate_stepper, self, kind, key[1], record=key[2])
+            if loaded is None:
+                stepper = generate()
+            else:
+                stepper = _native.NativeStepper(
+                    loaded, self, kind, key[1], key[2], generate
+                )
             self._steppers[key] = stepper
         return stepper
 

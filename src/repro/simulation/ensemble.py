@@ -20,7 +20,7 @@ Two structural ideas carry the throughput:
   scans the ``B`` cumulative block sums, then the ``L`` weights of the hit
   block — ``O(sqrt(|T|))`` per row instead of ``O(|T|)``, as one batched
   two-stage kernel for all rows at once.  Because every quantity is an exact
-  ``int64`` (guarded by :meth:`VectorizedNet.check_weight_overflow`), the
+  ``int64`` (guarded by :meth:`CompiledNet.check_weight_overflow`), the
   blocked pick selects *exactly* the transition the flat scan would.
 
 * **Lock-step retirement.**  Rows share one global step counter (every live

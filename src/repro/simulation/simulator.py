@@ -24,10 +24,14 @@ its engine once, at construction, and every run goes through it:
   a :class:`~repro.simulation.compiled.Stepper` loop that mutates one counts
   array in place, reweighs transitions incrementally and checks consensus in
   O(1) via maintained output counters.  Its two names differ only in the
-  net that builds the stepper: ``"compiled"`` generates straight-line Python
+  net that builds the stepper: ``"compiled"`` runs the native C kernel
+  (:mod:`repro.simulation.native`) whenever it loads, and otherwise — or for
+  a run it cannot hold in int64 — the straight-line Python it generates
   (:mod:`repro.simulation.compiled`); ``"numpy"`` runs ``int64`` array
   kernels whose per-step cost is flat in the transition count
-  (:mod:`repro.simulation.vectorized`),
+  (:mod:`repro.simulation.vectorized`).  ``run_seeds`` hands each int seed
+  to the stepper, so the native kernel seeds its own generator and no
+  Python generator is built,
 * :class:`EnsembleEngine` (``"ensemble"``) is a NumPy dense engine whose
   ``run_seeds`` advances all seeds in lock step through one
   :class:`~repro.simulation.ensemble.VectorizedEnsemble`, every row
@@ -269,13 +273,17 @@ class DenseEngine:
         record: bool = False,
         capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
     ) -> List[SimulationResult]:
-        """One run per seed, all reusing a single dense counts buffer."""
+        """One run per seed, all reusing a single dense counts buffer.
+
+        The seed goes to the stepper as is: a native stepper seeds its own
+        generator from it, the others run on ``random.Random(seed)``.
+        """
         net = self.net
         buffer = net.counts_of(configuration)
         run = self._run
         return [
             run(configuration, net.counts_of(configuration, out=buffer),
-                random.Random(seed), max_steps, stability_window, record, capacity)
+                seed, max_steps, stability_window, record, capacity)
             for seed in seeds
         ]
 
@@ -298,7 +306,7 @@ class DenseEngine:
         self,
         initial: Configuration,
         counts: List[int],
-        rng: random.Random,
+        rng: Union[random.Random, int],
         max_steps: int,
         stability_window: int,
         record: bool,

@@ -39,8 +39,10 @@ could make the scheduler-weight total overflow int64 are rejected up front
 with :class:`OverflowError` by a conservative static guard (roughly:
 population below ``((2**63 - 1) / |T|) ** (1 / max_pre_multiplicity_sum)``,
 e.g. ~6e7 agents for a width-2 net with 1000 transitions) — far beyond any
-practical simulation, but the compiled engine (arbitrary-precision Python
-integers) remains available for such extremes.
+practical simulation, but the compiled engine (whose native stepper hands
+such runs to arbitrary-precision Python integers) remains available for
+such extremes.  The guard itself lives on :class:`CompiledNet`, shared with
+the native stepper's own int64 bound.
 
 NumPy is an optional dependency (the ``sim`` extra).  This module imports
 without it; constructing a :class:`VectorizedNet` (or asking for
@@ -51,7 +53,7 @@ without it; constructing a :class:`VectorizedNet` (or asking for
 from __future__ import annotations
 
 from math import factorial
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import random
 
@@ -101,8 +103,10 @@ class KernelStepper:
         self._fn = fn
         self.qa_meta = qa_meta
 
-    def __call__(self, *args: Any, **kwargs: Any) -> Tuple[int, int, int, bool]:
-        return self._fn(*args, **kwargs)
+    def __call__(self, counts: List[int], rng: Any, *args: Any) -> Tuple[int, int, int, bool]:
+        if not isinstance(rng, random.Random):
+            rng = random.Random(rng)
+        return self._fn(counts, rng, *args)
 
     def source(self) -> Optional[str]:
         """Kernel-backed steppers have no generated source (audit the plans)."""
@@ -166,21 +170,6 @@ class VectorizedNet(CompiledNet):
         self._empty_pre = np.array(
             [not pre for pre in self.pre_lists], dtype=bool
         )
-        # Static int64-overflow guard inputs (see the uniform stepper): a
-        # transition's weight is a product of at most ``_max_weight_factors``
-        # state counts (the falling-factorial length, sum of pre
-        # multiplicities), and a step can raise a single state count by at
-        # most ``_max_positive_delta``.
-        self._max_weight_factors = max(
-            (sum(needed for _, needed in pre) for pre in self.pre_lists),
-            default=1,
-        ) or 1
-        self._max_positive_delta = max(
-            (diff for delta in self.delta_lists for _, diff in delta if diff > 0),
-            default=0,
-        )
-        self._conservative = net.is_conservative()
-
         # Update plans: for each transition t, the flattened pre-entries of
         # affected[t].  Every affected transition has a non-empty pre-set (a
         # transition with no preconditions reads no state, so no firing can
@@ -289,47 +278,6 @@ class VectorizedNet(CompiledNet):
         weights = np.multiply.reduceat(terms, self._pre_starts)
         weights[self._empty_pre] = 1
         return weights
-
-    def check_weight_overflow(self, counts: Sequence[int], max_steps: int) -> None:
-        """Static int64-overflow guard shared by the uniform-kind engines.
-
-        A transition's weight is a product of at most ``_max_weight_factors``
-        state counts, every state count stays below ``count_bound`` for the
-        whole run (counts can only grow by ``_max_positive_delta`` per step),
-        so every weight stays below ``count_bound ** factors`` and the weight
-        total below ``num_transitions * count_bound ** factors``.  Requiring
-        ``count_bound < 2 ** limit_bits`` with ``limit_bits * factors +
-        bit_length(num_transitions) <= 63`` therefore keeps every partial sum
-        of the int64 weight vectors exact — int64 arithmetic would otherwise
-        wrap silently rather than raise.  The bound must be computed in
-        Python integers, before any int64 conversion: an int64 sum of an
-        astronomical population would itself wrap and bypass the guard.
-        Raises :class:`OverflowError` for populations/step budgets beyond the
-        guard; both the per-run uniform stepper and the lock-step ensemble
-        engine (:mod:`repro.simulation.ensemble`) call this up front, so the
-        two reject exactly the same runs.
-        """
-        num_transitions = self.num_transitions
-        factors = self._max_weight_factors
-        limit_bits = max(
-            0, (63 - max(1, num_transitions).bit_length()) // factors
-        )
-        if self._conservative:
-            # Conservative nets keep the population invariant, so the total
-            # is a lifetime bound on every state count.
-            count_bound = sum(counts)
-        else:
-            count_bound = max(counts, default=0)
-            count_bound += max_steps * self._max_positive_delta
-        if count_bound > 0 and (count_bound >> limit_bits) > 0:
-            raise OverflowError(
-                "population or step budget too large for the int64 NumPy "
-                f"engine (state counts may reach {count_bound} over "
-                f"{max_steps} steps, risking scheduler-weight overflow "
-                f"on {num_transitions} transitions); use "
-                "engine='compiled', which computes weights in "
-                "arbitrary-precision Python integers"
-            )
 
     def full_enabled(self, counts_array: Any) -> Any:
         """The enabledness of every transition, as a bool vector."""

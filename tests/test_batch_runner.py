@@ -29,6 +29,7 @@ from repro.simulation import (
     run_ensemble,
 )
 from repro.simulation.batch import WorkerPool
+from repro.simulation.compiled import OUT_ONE, OUT_ZERO
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -505,19 +506,29 @@ class TestPickling:
 
         clone = pickle.loads(pickle.dumps(compiled))
         assert clone._steppers == {}
+        assert clone._native_tables is None
         assert clone.states == compiled.states
         assert clone.pre_lists == compiled.pre_lists
         assert clone.delta_lists == compiled.delta_lists
         assert clone.affected == compiled.affected
 
-    def test_unpickled_compiled_net_regenerates_equivalent_steppers(self):
+    def test_unpickled_compiled_net_regenerates_equivalent_steppers(self, stepper_path):
         protocol = majority_protocol()
         compiled = protocol.petri_net.compiled(extra_states=protocol.states)
         classes = compiled.output_classes(protocol.output_table)
         original = compiled.stepper("uniform", classes)
         clone = pickle.loads(pickle.dumps(compiled))
         regenerated = clone.stepper("uniform", classes)
-        assert regenerated.__source__ == original.__source__
+        assert type(regenerated) is type(original)
+        assert regenerated.source() == original.source()
+        initial = protocol.initial_configuration(_majority_inputs(12))
+        runs = []
+        for net, stepper in ((compiled, original), (clone, regenerated)):
+            counts = net.counts_of(initial)
+            one = sum(c for c, k in zip(counts, classes) if k == OUT_ONE)
+            zero = sum(c for c, k in zip(counts, classes) if k == OUT_ZERO)
+            runs.append((stepper(counts, 5, 500, 100, one, zero, 0), counts))
+        assert runs[0] == runs[1]
 
     def test_protocol_with_populated_compile_cache_pickles(self):
         protocol = majority_protocol()

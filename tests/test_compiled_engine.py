@@ -8,7 +8,9 @@ assert that across the majority, modulo and flock-of-birds protocols (plus a
 leader-based succinct protocol and a non-conservative net), for full runs,
 truncated prefixes of runs, both built-in schedulers, and batched runs — and
 across a seeded property-style sweep of random small nets (random pre/post
-multisets) that goes beyond the named protocols.
+multisets) that goes beyond the named protocols.  Every test runs twice,
+once per loop behind ``engine="compiled"`` (the native kernel and the
+generated Python stepper; see ``stepper_path`` in conftest.py).
 """
 
 import random
@@ -32,6 +34,9 @@ from repro.simulation import (
     TransitionScheduler,
     UniformScheduler,
 )
+
+
+pytestmark = pytest.mark.usefixtures("stepper_path")
 
 
 def _cases():
@@ -274,13 +279,19 @@ class TestCompiledNet:
         assert enlarged is net.compiled(extra_states=["X"])
         assert "X" in enlarged.index_of
 
-    def test_stepper_is_cached_and_carries_source(self):
+    def test_stepper_is_cached_and_carries_source(self, stepper_path):
         protocol = majority_protocol()
         compiled = protocol.petri_net.compiled(extra_states=protocol.states)
         classes = compiled.output_classes(protocol.output_table)
         stepper = compiled.stepper("uniform", classes)
         assert compiled.stepper("uniform", classes) is stepper
-        assert "total" in stepper.__source__
+        if stepper_path == "native":
+            # The kernel is table-driven: no source, the audit reads tables.
+            assert stepper.source() is None
+            assert stepper.qa_meta["implementation"] == "native"
+            assert "total" in stepper.fallback().source()
+        else:
+            assert "total" in stepper.source()
 
     def test_unknown_kind_rejected(self):
         compiled = majority_protocol().petri_net.compiled()
@@ -378,6 +389,28 @@ class TestRandomNetEquivalence:
                 inputs, max_steps=200, stability_window=50
             )
             assert_same_result(fast, reference)
+
+    @pytest.mark.parametrize("num_transitions", [40, 90])
+    @pytest.mark.parametrize("scheduler", [UniformScheduler, TransitionScheduler])
+    def test_random_nets_beyond_one_selection_block_match(self, num_transitions,
+                                                          scheduler):
+        # The native kernel scans weight sums per block of 16 transitions
+        # before the weights of the hit block; small populations make draws
+        # land exactly on block boundaries.
+        from repro.experiments.experiment_defs import random_interaction_protocol
+
+        protocol, inputs = random_interaction_protocol(
+            num_transitions, random.Random(num_transitions), agents_per_state=1
+        )
+        results = [
+            Simulator(protocol, scheduler=scheduler(), engine=engine, seed=4).run(
+                inputs, max_steps=1500, stability_window=10 ** 9,
+                record_trajectory=True, trajectory_capacity=10 ** 6,
+            )
+            for engine in ("compiled", "reference")
+        ]
+        assert_same_result(*results)
+        assert results[0].trajectory == results[1].trajectory
 
     @pytest.mark.parametrize("case", range(8))
     def test_random_net_batches_match_across_backends(self, case):

@@ -716,9 +716,13 @@ class TestKillAndResume:
             target=_run_claim_worker,
             args=(spec.to_json(), store_path, "survivor", None),
         )
+        # The survivor starts only once the victim is dead: started together,
+        # a fast survivor could drain the grid before the victim reaches its
+        # kill point, and the victim would exit 0.  The survivor then waits
+        # out the victim's 1 s lease and adopts the stranded cell.
         victim.start()
-        survivor.start()
         victim.join(60)
+        survivor.start()
         survivor.join(60)
         assert victim.exitcode == -signal.SIGKILL
         assert survivor.exitcode == 0

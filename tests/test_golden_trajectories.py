@@ -30,6 +30,7 @@ import json
 from pathlib import Path
 
 import pytest
+from conftest import use_stepper_path
 
 from repro.analytics import AnalyticsSpec, extract_run_metrics
 from repro.simulation import Simulator
@@ -73,10 +74,12 @@ CASE_DEFINITIONS = (
     },
 )
 
-#: All three engines must reproduce every golden.  The NumPy engine is
-#: exercised when the optional dependency is installed (always in the CI
-#: numpy-engine job); the others are unconditional.
-ENGINES = ("reference", "compiled", "numpy")
+#: All three engines must reproduce every golden, the compiled engine on
+#: both of its loops (``compiled/<path>``, see ``stepper_path`` in
+#: conftest.py).  The NumPy engine is exercised when the optional dependency
+#: is installed (always in the CI numpy-engine job); the others are
+#: unconditional.
+ENGINES = ("reference", "compiled/native", "compiled/generated", "numpy")
 
 
 def _golden_paths():
@@ -101,6 +104,14 @@ def _analytics_spec(case, inputs):
         curve_checkpoints=checkpoints,
         expected_output=expected,
     )
+
+
+def _select(engine, monkeypatch):
+    """The engine name of an ``ENGINES`` entry, its stepper path in force."""
+    engine, _, path = engine.partition("/")
+    if path:
+        use_stepper_path(path, monkeypatch)
+    return engine
 
 
 def _execute(case, engine):
@@ -168,9 +179,10 @@ class TestGoldenTrajectories:
         assert names == golden["transitions"]
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_engine_reproduces_golden(self, golden, engine):
+    def test_engine_reproduces_golden(self, golden, engine, monkeypatch):
         if engine == "numpy" and not numpy_available():
             pytest.skip("NumPy engine requires the optional 'sim' extra")
+        engine = _select(engine, monkeypatch)
         _, fired, summary, _ = _execute(golden, engine)
         assert fired == golden["fired"], (
             f"engine {engine!r} fired a different transition sequence than the "
@@ -180,13 +192,14 @@ class TestGoldenTrajectories:
         assert summary == golden["summary"]
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_engine_reproduces_golden_metrics(self, golden, engine):
+    def test_engine_reproduces_golden_metrics(self, golden, engine, monkeypatch):
         # The analytics pin: identical trajectories must extract into
         # identical metric dicts on every engine — histogram, consensus
         # times, correctness and curve, bit for bit against the committed
         # values.
         if engine == "numpy" and not numpy_available():
             pytest.skip("NumPy engine requires the optional 'sim' extra")
+        engine = _select(engine, monkeypatch)
         _, _, _, metrics = _execute(golden, engine)
         assert metrics == golden["metrics"], (
             f"engine {engine!r} extracted different analytics than the golden "

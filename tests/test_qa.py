@@ -23,6 +23,7 @@ from repro.qa.rules import (
     severity_at_least,
     write_baseline,
 )
+from repro.simulation import native
 from repro.simulation.vectorized import numpy_available
 from repro.sweep.spec import available_sweep_protocols, build_protocol_and_inputs
 
@@ -568,7 +569,7 @@ class TestCodegenAudit:
     def test_qa_meta_attached(self):
         compiled, classes = _compiled_for("majority", 25)
         stepper = compiled.stepper("uniform", classes)
-        meta = stepper.__qa_meta__
+        meta = stepper.qa_meta
         assert meta["kind"] == "uniform"
         assert meta["record"] is False
         assert meta["num_transitions"] == compiled.num_transitions
@@ -624,6 +625,45 @@ class TestEnsembleAudit:
         finally:
             tables.a_pad[0, 0] = original
         assert any("padded affected row" in problem for problem in problems)
+
+
+@pytest.mark.skipif(native.kernel() is None, reason="native stepper unavailable")
+class TestNativeAudit:
+    @pytest.mark.parametrize("name", PAPER_PROTOCOLS)
+    @pytest.mark.parametrize("population", AUDIT_POPULATIONS)
+    def test_paper_protocols_pass(self, name, population):
+        compiled, classes = _compiled_for(name, population)
+        assert codegen_audit.audit_native_net(compiled, classes) == []
+
+    @pytest.mark.parametrize("column,label", [
+        ("pre_need", "pre_lists"),
+        ("delta_value", "delta_lists"),
+        ("affected", "affected"),
+    ])
+    def test_corrupted_kernel_table_fails(self, column, label):
+        compiled, classes = _compiled_for("majority", 25)
+        stepper = compiled.stepper("uniform", classes)
+        values = getattr(compiled.native_tables(), column)
+        values[0] += 1
+        try:
+            problems = codegen_audit.audit_native_stepper(stepper, compiled, classes)
+        finally:
+            values[0] -= 1
+        assert any(f"kernel {label}" in problem for problem in problems)
+
+    def test_corrupted_consensus_deltas_fail(self):
+        compiled, classes = _compiled_for("majority", 25)
+        stepper = compiled.stepper("transition", classes, record=True)
+        stepper._consensus[0] += 1
+        problems = codegen_audit.audit_native_stepper(stepper, compiled, classes)
+        assert any("kernel consensus_deltas" in problem for problem in problems)
+
+    def test_generated_stepper_is_not_native(self, monkeypatch):
+        compiled, classes = _compiled_for("majority", 25)
+        monkeypatch.setattr(native, "kernel", lambda: None)
+        problems = codegen_audit.audit_native_net(compiled, classes)
+        assert any("implementation is None" in problem for problem in problems)
+        assert any("claims generated source" in problem for problem in problems)
 
 
 class TestUniverseGuard:
